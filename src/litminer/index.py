@@ -42,8 +42,13 @@ class PostingsIndex:
     """Token -> postings map over a fixed document set.
 
     Postings hold (internal doc id, positions) with doc ids ascending and
-    positions strictly increasing.  Instances are immutable once built, so
-    any number of threads may query one concurrently.
+    positions strictly increasing.  The documents and postings never change
+    once built.  The only mutable state is a one-slot memo of the last key
+    phrase's in-window documents used by :meth:`count_with_both`.  It holds
+    one immutable ``(key, docs)`` pair and is replaced by a single attribute
+    assignment, so a concurrent reader sees either the old pair or the new
+    one, never a key with another key's documents, and any number of
+    threads may query one index concurrently.
     """
 
     def __init__(
@@ -58,6 +63,7 @@ class PostingsIndex:
         self._dates = date_ordinals
         self._sorted_dates = sorted(date_ordinals)
         self._postings = postings
+        self._key_docs: tuple[tuple[tuple[str, ...], DateRange] | None, tuple[int, ...]] = (None, ())
         self.corpus_name = corpus_name
         self.built_at = built_at
 
@@ -93,47 +99,81 @@ class PostingsIndex:
 
         Each document counts once no matter how often the phrase occurs.
         """
-        return len(self._matching_docs(phrase, date_range))
+        if len(phrase.tokens) == 1:
+            lo = date_range.start.toordinal()
+            hi = date_range.end.toordinal()
+            dates = self._dates
+            return sum(
+                1 for doc in self._postings.get(phrase.tokens[0], ()) if lo <= dates[doc] <= hi
+            )
+        return len(self._matching_docs(phrase.tokens, date_range))
 
     def count_with_both(
         self, phrase_a: TokenizedPhrase, phrase_b: TokenizedPhrase, date_range: DateRange
     ) -> int:
-        """Number of in-range documents containing both phrases."""
-        docs_a = self._matching_docs(phrase_a, date_range)
-        if not docs_a:
-            return 0
-        seen = set(docs_a)
-        return sum(1 for d in self._matching_docs(phrase_b, date_range) if d in seen)
+        """Number of in-range documents containing both phrases.
 
-    def _matching_docs(self, phrase: TokenizedPhrase, date_range: DateRange) -> list[int]:
+        ``phrase_b`` is the key phrase in a mining run: its in-range
+        documents are evaluated once and kept in a one-slot memo, and
+        ``phrase_a`` is checked in each of them, so the cost scales with the
+        key phrase's document count, not the term's.
+        """
+        key = (phrase_b.tokens, date_range)
+        memo = self._key_docs
+        if memo[0] != key:
+            memo = (key, tuple(self._matching_docs(phrase_b.tokens, date_range)))
+            self._key_docs = memo
+        docs = memo[1]
+        maps = self._token_maps(phrase_a.tokens)
+        if maps is None:
+            return 0
+        for m in maps:
+            docs = list(filter(m.__contains__, docs))
+        if len(maps) == 1:
+            return len(docs)
+        return sum(1 for doc in docs if self._phrase_in_doc(maps, doc))
+
+    def _token_maps(self, tokens: tuple[str, ...]) -> list[dict[int, tuple[int, ...]]] | None:
+        """Posting maps for each token, or None when some token is absent."""
         maps = []
-        for token in phrase.tokens:
+        for token in tokens:
             entry = self._postings.get(token)
             if entry is None:
-                return []
+                return None
             maps.append(entry)
-        rarest = min(maps, key=len)
+        return maps
+
+    def _matching_docs(self, tokens: tuple[str, ...], date_range: DateRange) -> list[int]:
+        maps = self._token_maps(tokens)
+        if maps is None:
+            return []
         lo = date_range.start.toordinal()
         hi = date_range.end.toordinal()
         dates = self._dates
-        out = []
-        for doc in rarest:
-            if not lo <= dates[doc] <= hi:
-                continue
-            if any(doc not in m for m in maps if m is not rarest):
-                continue
-            if self._phrase_in_doc(maps, doc):
-                out.append(doc)
-        out.sort()
-        return out
+        if len(maps) == 1:
+            return [doc for doc in maps[0] if lo <= dates[doc] <= hi]
+        candidates = maps[0].keys() & maps[1].keys()
+        for m in maps[2:]:
+            candidates &= m.keys()
+        return [
+            doc
+            for doc in candidates
+            if lo <= dates[doc] <= hi and self._phrase_in_doc(maps, doc)
+        ]
 
     @staticmethod
     def _phrase_in_doc(maps: list[dict[int, tuple[int, ...]]], doc: int) -> bool:
-        if len(maps) == 1:
-            return True
-        anchors = maps[0][doc]
-        rest = [(offset, set(maps[offset][doc])) for offset in range(1, len(maps))]
-        return any(all(p + offset in s for offset, s in rest) for p in anchors)
+        """True when the tokens of ``maps`` occur at consecutive positions in ``doc``.
+
+        Needs at least two maps, each containing ``doc``.  Works on the
+        positions where the phrase would end, so two tokens take one
+        ``isdisjoint``.
+        """
+        last = len(maps) - 1
+        ends = {p + last for p in maps[0][doc]}
+        for offset in range(1, last):
+            ends.intersection_update([p + last - offset for p in maps[offset][doc]])
+        return not ends.isdisjoint(maps[last][doc])
 
     def verify_invariants(self) -> None:
         """Structural self-check used by tests; raises AssertionError on damage."""

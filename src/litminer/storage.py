@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
+import secrets
 import struct
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -96,29 +98,43 @@ def _write_bytes(fh: io.BufferedWriter, data: bytes) -> None:
 
 
 def save_index(index: PostingsIndex, path: str | Path) -> None:
-    """Write the index to ``path`` atomically (write then rename)."""
+    """Write the index to ``path`` atomically (write then rename).
+
+    The body goes to a new, uniquely named file beside ``path`` (created
+    with ``O_EXCL``, so no other file is overwritten), which is renamed over
+    ``path`` once complete and removed if writing fails.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<HHI", INDEX_FORMAT_VERSION, TOKENIZER_VERSION, 0))
-        fh.write(struct.pack("<Q", index.doc_count))
-        _write_bytes(fh, index.corpus_name.encode("utf-8"))
-        fh.write(struct.pack("<Q", int(index.built_at.timestamp())))
-        dates = index._dates
-        for internal, doc_id in enumerate(index._doc_ids):
-            _write_bytes(fh, doc_id.encode("utf-8"))
-            fh.write(struct.pack("<I", dates[internal]))
-        postings = index._postings
-        fh.write(struct.pack("<I", len(postings)))
-        for token in sorted(postings):
-            entry = postings[token]
-            _write_bytes(fh, token.encode("utf-8"))
-            fh.write(struct.pack("<I", len(entry)))
-            for doc in sorted(entry):
-                positions = entry[doc]
-                fh.write(struct.pack(f"<II{len(positions)}I", doc, len(positions), *positions))
-    tmp.replace(path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            _write_index(fh, index)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_index(fh: io.BufferedWriter, index: PostingsIndex) -> None:
+    fh.write(INDEX_MAGIC)
+    fh.write(struct.pack("<HHI", INDEX_FORMAT_VERSION, TOKENIZER_VERSION, 0))
+    fh.write(struct.pack("<Q", index.doc_count))
+    _write_bytes(fh, index.corpus_name.encode("utf-8"))
+    fh.write(struct.pack("<Q", int(index.built_at.timestamp())))
+    dates = index._dates
+    for internal, doc_id in enumerate(index._doc_ids):
+        _write_bytes(fh, doc_id.encode("utf-8"))
+        fh.write(struct.pack("<I", dates[internal]))
+    postings = index._postings
+    fh.write(struct.pack("<I", len(postings)))
+    for token in sorted(postings):
+        entry = postings[token]
+        _write_bytes(fh, token.encode("utf-8"))
+        fh.write(struct.pack("<I", len(entry)))
+        for doc in sorted(entry):
+            positions = entry[doc]
+            fh.write(struct.pack(f"<II{len(positions)}I", doc, len(positions), *positions))
 
 
 class _Reader:

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from datetime import date, timedelta
 
 import pytest
@@ -169,6 +171,15 @@ def random_range(rng):
     return DateRange(start, end)
 
 
+# Windows that hold every document, end before the first, or start after
+# the last one that random_corpus can date.
+EDGE_RANGES = [
+    DateRange(date(1900, 1, 1), date(2100, 1, 1)),
+    DateRange(date(1990, 1, 1), date(1999, 12, 31)),
+    DateRange(date(2011, 1, 1), date(2030, 1, 1)),
+]
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_counts_match_linear_scan(seed):
@@ -176,8 +187,7 @@ def test_counts_match_linear_scan(seed):
     docs = random_corpus(rng)
     index = build_index(docs)
     scannable = pretokenize(docs)
-    for _ in range(4):
-        date_range = random_range(rng)
+    for date_range in [random_range(rng) for _ in range(4)] + EDGE_RANGES:
         tokens = tuple(rng.choice(WORDS) for _ in range(rng.randrange(1, 4)))
         other = tuple(rng.choice(WORDS) for _ in range(rng.randrange(1, 4)))
         assert index.article_count(date_range) == scan_article_count(
@@ -189,6 +199,111 @@ def test_counts_match_linear_scan(seed):
         assert index.count_with_both(
             TokenizedPhrase(tokens), TokenizedPhrase(other), date_range
         ) == scan_count_with_both(scannable, tokens, other, date_range.start, date_range.end)
+
+
+def test_empty_index_counts_zero_in_every_window():
+    index = build_index([])
+    for date_range in EDGE_RANGES:
+        assert index.article_count(date_range) == 0
+        assert index.count_with(phrase("stem cell"), date_range) == 0
+        assert index.count_with_both(phrase("stem"), phrase("stem cell"), date_range) == 0
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_repeated_token_phrases_match_linear_scan(seed):
+    rng = random.Random(seed)
+    docs = [
+        Document(
+            f"doc{i}",
+            " ".join(rng.choice(["stem", "cell", "line"]) for _ in range(rng.randrange(0, 10))),
+            date(2000, 1, 1) + timedelta(days=rng.randrange(0, 4000)),
+        )
+        for i in range(rng.randrange(0, 40))
+    ]
+    index = build_index(docs)
+    scannable = pretokenize(docs)
+    phrases = [("stem", "stem", "cell"), ("stem", "stem"), ("cell", "stem", "stem"), ("stem",)]
+    for date_range in [random_range(rng)] + EDGE_RANGES:
+        bounds = (date_range.start, date_range.end)
+        for tokens in phrases:
+            assert index.count_with(TokenizedPhrase(tokens), date_range) == scan_count_with(
+                scannable, tokens, *bounds
+            )
+            for other in phrases:
+                assert index.count_with_both(
+                    TokenizedPhrase(tokens), TokenizedPhrase(other), date_range
+                ) == scan_count_with_both(scannable, tokens, other, *bounds)
+
+
+def test_key_phrase_memo_follows_window(six_index, full_range):
+    """The same key phrase in a second window must not reuse the first window's docs."""
+    until_2001 = DateRange(date(1900, 1, 1), date(2001, 12, 31))
+    alpha, key = phrase("alpha"), phrase("stem cell")
+    assert six_index.count_with_both(alpha, key, full_range) == 3
+    assert six_index.count_with_both(alpha, key, until_2001) == 1
+    assert six_index.count_with_both(alpha, phrase("beta"), until_2001) == 0
+    assert six_index.count_with_both(alpha, key, full_range) == 3
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_count_with_both_sequence_matches_linear_scan(seed):
+    """One index answers a run of calls whose key phrase and window change."""
+    rng = random.Random(seed)
+    docs = random_corpus(rng)
+    index = build_index(docs)
+    scannable = pretokenize(docs)
+    keys = [tuple(rng.choice(WORDS) for _ in range(rng.randrange(1, 3))) for _ in range(2)]
+    windows = [random_range(rng), random_range(rng)]
+    for _ in range(12):
+        key, date_range = rng.choice(keys), rng.choice(windows)
+        term = tuple(rng.choice(WORDS) for _ in range(rng.randrange(1, 3)))
+        assert index.count_with_both(
+            TokenizedPhrase(term), TokenizedPhrase(key), date_range
+        ) == scan_count_with_both(scannable, term, key, date_range.start, date_range.end)
+
+
+def test_concurrent_count_with_both_matches_linear_scan():
+    """Four threads alternating two key phrases and two windows on one index."""
+    rng = random.Random(20190614)
+    docs = random_corpus(rng, max_docs=300)
+    index = build_index(docs)
+    scannable = pretokenize(docs)
+    keys = [("stem", "cell"), ("gene",)]
+    windows = [DateRange(date(2000, 1, 1), date(2010, 12, 31)), random_range(rng)]
+    terms = [(w,) for w in WORDS] + [("alpha", "beta"), ("tumor", "cortex")]
+    expected = {
+        (term, key, date_range): scan_count_with_both(
+            scannable, term, key, date_range.start, date_range.end
+        )
+        for term in terms
+        for key in keys
+        for date_range in windows
+    }
+    wrong = []
+
+    def worker(shift):
+        for i in range(2000):
+            key = keys[(i + shift) % 2]
+            date_range = windows[(i // 2 + shift) % 2]
+            term = terms[i % len(terms)]
+            got = index.count_with_both(TokenizedPhrase(term), TokenizedPhrase(key), date_range)
+            if got != expected[term, key, date_range]:
+                wrong.append((term, key, date_range, got))
+
+    threads = [threading.Thread(target=worker, args=(shift,)) for shift in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

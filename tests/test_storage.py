@@ -12,6 +12,7 @@ from litminer import (
     DateRange,
     Document,
     IndexFormatError,
+    PostingsIndex,
     TokenizedPhrase,
     build_index,
     load_index,
@@ -115,6 +116,30 @@ class TestRoundTrip:
         save_index(six_index, path)
         leftovers = [p for p in tmp_path.iterdir() if p.name != "six.idx"]
         assert leftovers == []
+
+    def test_existing_tmp_name_is_left_untouched(self, six_index, tmp_path):
+        path = tmp_path / "six.idx"
+        bystander = tmp_path / "six.idx.tmp"
+        bystander.write_bytes(b"not ours")
+        save_index(six_index, path)
+        assert bystander.read_bytes() == b"not ours"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["six.idx", "six.idx.tmp"]
+
+    def test_failed_write_keeps_old_index_and_leaves_no_tmp(
+        self, six_index, full_range, tmp_path
+    ):
+        path = tmp_path / "six.idx"
+        save_index(six_index, path)
+        # A negative position cannot be packed as u32, so the write fails
+        # after the header and doc table are already in the temp file.
+        broken = PostingsIndex(
+            ["d1"], [date(2001, 1, 1).toordinal()], {"alpha": {0: (-1,)}}, "broken",
+            six_index.built_at,
+        )
+        with pytest.raises(struct.error):
+            save_index(broken, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["six.idx"]
+        assert queries(load_index(path), full_range) == queries(six_index, full_range)
 
 
 WORDS = ["alpha", "beta", "stem", "cell", "line", "assay"]
