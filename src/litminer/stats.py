@@ -3,26 +3,29 @@
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 # Smallest positive double; extreme tables can push the true p-value below
 # what floating point can represent, and the contract is 0 < p <= 1.
 _MIN_P = math.ulp(0.0)
 
-_LOGFACT_CAP = 1 << 20
-_logfact_table: list[float] = [0.0]
-_logfact_lock = threading.Lock()
-
-# Up to this many draws the first tail term is computed from exact integer
-# binomials, which keeps the relative error near machine precision even for
-# corpus-sized grand totals.  Beyond it the log-factorial table takes over;
-# accuracy then degrades to roughly one ulp of log(grand_total!).
-_EXACT_COMB_DRAW_LIMIT = 10_000
-
 # Once past the distribution's mode, a term this far (in log space) below
 # the largest one seen cannot move the sum at double precision.
 _NEGLIGIBLE_LOG_GAP = 55.0
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+# stirlerr(n) for n = 0..15 from exact factorials; stirlerr(0) is taken as 0.
+_STIRLERR_SMALL = (0.0,) + tuple(
+    math.log(math.factorial(n)) - (n + 0.5) * math.log(n) + n - 0.5 * _LOG_2PI
+    for n in range(1, 16)
+)
+# Coefficients of the asymptotic series of stirlerr in 1 / n.
+_S0 = 1.0 / 12.0
+_S1 = 1.0 / 360.0
+_S2 = 1.0 / 1260.0
+_S3 = 1.0 / 1680.0
+_S4 = 1.0 / 1188.0
 
 
 class InconsistentCountsError(ValueError):
@@ -108,18 +111,85 @@ def derive_table(
     return ContingencyTable(targ_kp, targ_no_kp, no_targ_kp, no_targ_no_kp)
 
 
-def _log_factorial(n: int) -> float:
-    """log(n!) from a lazily grown shared table; read-only once filled."""
-    if n < 0:
-        raise ValueError(f"factorial of negative value {n}")
-    if n >= _LOGFACT_CAP:
-        return math.lgamma(n + 1)
-    table = _logfact_table
-    if n >= len(table):
-        with _logfact_lock:
-            for i in range(len(_logfact_table), n + 1):
-                _logfact_table.append(math.lgamma(i + 1))
-    return table[n]
+def stirlerr(n: int) -> float:
+    """Error of Stirling's formula, log(n!) - log(sqrt(2 pi n) (n / e)**n).
+
+    Tabulated up to 15; above, the asymptotic series is cut after as many
+    terms as double precision needs at that size.
+    """
+    if n <= 15:
+        return _STIRLERR_SMALL[n]
+    nn = n * n
+    if n > 500:
+        return (_S0 - _S1 / nn) / n
+    if n > 80:
+        return (_S0 - (_S1 - _S2 / nn) / nn) / n
+    if n > 35:
+        return (_S0 - (_S1 - (_S2 - _S3 / nn) / nn) / nn) / n
+    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
+
+
+def bd0(x: float, mean: float) -> float:
+    """Deviance term x log(x / mean) + mean - x, for x >= 0 and mean > 0.
+
+    Close to the mean the two sides nearly cancel, so there it is summed
+    as the series (x - mean) v + 2x (v^3/3 + v^5/5 + ...) with
+    v = (x - mean) / (x + mean), which has no cancellation.  Loader sums
+    it for |v| < 0.1; summing up to 0.25 keeps the closed form away from
+    x / mean near 1, where rounding x / mean costs about 50 ulps of the
+    result.
+    """
+    diff = x - mean
+    if abs(diff) < 0.25 * (x + mean):
+        v = diff / (x + mean)
+        total = diff * v
+        term = 2.0 * x * v
+        v2 = v * v
+        k = 3
+        while True:
+            term *= v2
+            updated = total + term / k
+            if updated == total:
+                return updated
+            total = updated
+            k += 2
+    return x * math.log(x / mean) + mean - x
+
+
+def log_dbinom_raw(x: int, n: int, p: float, q: float) -> float:
+    """log P(X = x) for X ~ Binomial(n, p), given q = 1 - p and 0 < p < 1.
+
+    Loader's saddle-point form: Stirling errors plus two deviance terms,
+    so no factorial or power of p is ever formed.
+    """
+    if x == 0:
+        if n == 0:
+            return 0.0
+        return -bd0(n, n * q) - n * p if p < 0.1 else n * math.log(q)
+    if x == n:
+        return -bd0(n, n * p) - n * q if q < 0.1 else n * math.log(p)
+    lc = stirlerr(n) - stirlerr(x) - stirlerr(n - x) - bd0(x, n * p) - bd0(n - x, n * q)
+    # x (n - x) / n from exact integers: log1p(-x / n) would lose the
+    # digits of n - x when x / n is close to 1.
+    return lc - 0.5 * (_LOG_2PI + math.log(x * (n - x) / n))
+
+
+def log_dhyper(x: int, kp: int, draws: int, grand: int) -> float:
+    """log P(X = x) for X hypergeometric, requiring 0 < draws < grand.
+
+    X counts the marked items in ``draws`` taken from ``grand``, of which
+    ``kp`` are marked.  The pmf is a ratio of three binomial pmfs at
+    p = draws / grand, each from :func:`log_dbinom_raw`, so it stays
+    accurate at any ``grand`` (C. Loader, "Fast and Accurate Computation
+    of Binomial Probabilities", 2000).
+    """
+    p = draws / grand
+    q = (grand - draws) / grand
+    return (
+        log_dbinom_raw(x, kp, p, q)
+        + log_dbinom_raw(draws - x, grand - kp, p, q)
+        - log_dbinom_raw(draws, grand, p, q)
+    )
 
 
 def fisher_one_sided(table: ContingencyTable) -> float:
@@ -129,6 +199,11 @@ def fisher_one_sided(table: ContingencyTable) -> float:
     the probability that a hypergeometric draw of ``term_total`` documents
     from ``grand_total``, of which ``kp_total`` contain the key phrase,
     contains at least ``targ_kp`` key-phrase documents.  Always in (0, 1].
+
+    The first tail term comes from :func:`log_dhyper`; each further term
+    is the previous one times the pmf ratio, summed until the terms past
+    the mode can no longer change the total.  Tested to stay within 1e-10
+    relative error of exact rational arithmetic.
     """
     grand = table.grand_total
     kp = table.kp_total
@@ -142,27 +217,7 @@ def fisher_one_sided(table: ContingencyTable) -> float:
         # margins (term_total == 0 or kp_total == 0).
         return 1.0
 
-    if draws <= _EXACT_COMB_DRAW_LIMIT:
-        # Exact integers; the huge factorial cancellations happen before
-        # anything is rounded to float.
-        log_term = (
-            math.log(math.comb(kp, observed))
-            + math.log(math.comb(grand - kp, draws - observed))
-            - math.log(math.comb(grand, draws))
-        )
-    else:
-        log_term = (
-            _log_factorial(kp)
-            + _log_factorial(grand - kp)
-            + _log_factorial(draws)
-            + _log_factorial(grand - draws)
-            - _log_factorial(grand)
-            - _log_factorial(observed)
-            - _log_factorial(kp - observed)
-            - _log_factorial(draws - observed)
-            - _log_factorial(grand - kp - draws + observed)
-        )
-
+    log_term = log_dhyper(observed, kp, draws, grand)
     log_terms = [log_term]
     peak = log_term
     for x in range(observed, highest):

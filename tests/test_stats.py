@@ -1,8 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from litminer import (
@@ -14,6 +15,7 @@ from litminer import (
     fisher_one_sided,
     keyphrase_cooccurrence_ratio,
 )
+from litminer.stats import bd0, log_dhyper, stirlerr
 from oracles import hypergeom_upper_tail_exact
 
 
@@ -106,6 +108,23 @@ class TestFisherOneSided:
         )
         assert rel_err(fisher_one_sided(table), exact) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "article_total, kp_total, term_total, both_count",
+        [
+            (40_000_000, 40, 9_999, 2),
+            (40_000_000, 40, 10_001, 2),
+            (40_000_000, 60, 12_000, 3),
+        ],
+    )
+    def test_corpus_scale_against_oracle(self, article_total, kp_total, term_total, both_count):
+        # Europe-PMC-sized grand totals; the oracle's bigints make larger
+        # margins too slow for the suite.
+        table = derive_table(article_total, kp_total, term_total, both_count)
+        exact = hypergeom_upper_tail_exact(
+            table.targ_kp, table.targ_no_kp, table.no_targ_kp, table.no_targ_no_kp
+        )
+        assert rel_err(fisher_one_sided(table), exact) <= 1e-10
+
     def test_underflow_clamps_to_smallest_positive_float(self):
         table = derive_table(27_500_000, 100_000, 20_000, 15_000)
         p = fisher_one_sided(table)
@@ -137,6 +156,145 @@ class TestFisherOneSided:
         p = fisher_one_sided(table)
         assert 0.0 < p <= 1.0
         assert rel_err(p, exact) <= 1e-10
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def stirlerr_exact(n):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = Decimal(n)
+        return Decimal(math.factorial(n)).ln() - (d + Decimal("0.5")) * d.ln() + d - (2 * _PI).sqrt().ln()
+
+
+def bd0_exact(x, mean):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, mean = Decimal(x), Decimal(mean)
+        return x * (x / mean).ln() + mean - x
+
+
+def pmf_rel_err(x, kp, draws, grand):
+    """Relative error of exp(log_dhyper(...)) against the rational pmf.
+
+    Computed exactly in integers and rounded once; no gcd of the huge
+    binomials is ever taken.
+    """
+    num = math.comb(kp, x) * math.comb(grand - kp, draws - x)
+    den = math.comb(grand, draws)
+    a, b = math.exp(log_dhyper(x, kp, draws, grand)).as_integer_ratio()
+    return abs(a * den - b * num) / (b * num)
+
+
+STIRLERR_CUTS = (15, 16, 35, 36, 80, 81, 500, 501)
+
+
+class TestLoaderParts:
+    @pytest.mark.parametrize("n", [*range(1, 40), 79, 80, 81, 82, 499, 500, 501, 502, 10_000])
+    def test_stirlerr(self, n):
+        assert abs(Decimal(stirlerr(n)) - stirlerr_exact(n)) <= Decimal("1e-14")
+
+    @pytest.mark.parametrize(
+        "x, mean",
+        [
+            (40_000, 40_000.0),  # no deviance
+            (10, 10.5),
+            (100, 61.0),  # series, just inside |x - mean| < 0.25 (x + mean)
+            (100, 59.0),  # closed form, just outside
+            (100, 166.0),
+            (100, 168.0),
+            (7_118, 5_237.3),
+            (1, 40.0),
+            (3, 1e-3),
+            (500_000, 100_000.0),
+        ],
+    )
+    def test_bd0(self, x, mean):
+        exact = bd0_exact(x, mean)
+        assert abs(Decimal(bd0(x, mean)) - exact) <= Decimal("1e-15") * exact
+
+
+class TestLogDhyper:
+    @pytest.mark.parametrize("n", STIRLERR_CUTS)
+    def test_stirlerr_cut_points(self, n):
+        # n as the observed count, as the marked total, as the unmarked
+        # total and as the draws, so every Stirling-error argument role
+        # meets each side of every cut.
+        for x, kp, draws, grand in (
+            (n, 2 * n, 2 * n, 4 * n),
+            (n // 2, n, n, 3 * n),
+            (3, 10, n, n + 10),
+            (7, n + 7, 40, n + 47),
+        ):
+            assert pmf_rel_err(x, kp, draws, grand) <= 1e-12, (x, kp, draws, grand)
+
+    @pytest.mark.parametrize(
+        "x, kp, draws, grand",
+        [
+            # Every deviance term is summed as a series: at the mode, and
+            # about 15 standard deviations out on either side.
+            (250, 1_000, 1_000, 4_000),
+            (500, 5_000, 10_000, 100_000),
+            (25_000, 50_000, 50_000, 100_000),
+            (26_200, 50_000, 50_000, 100_000),
+            (23_800, 50_000, 50_000, 100_000),
+            # Some deviance terms take the closed form, above and below
+            # their mean.
+            (450, 1_000, 1_000, 4_000),
+            (900, 5_000, 10_000, 100_000),
+            (250, 5_000, 10_000, 100_000),
+            (20, 60_000, 100, 100_000),
+            (95, 60_000, 100, 100_000),
+            (1, 60_000, 100, 100_000),
+            # Deep tails where deviance terms have x / mean near 1.2: the
+            # closed form would lose about 50 ulps there, the series not.
+            (4_677, 10_793, 31_962, 54_233),
+            (45_256, 54_736, 72_591, 91_789),
+        ],
+    )
+    def test_deviance_branches(self, x, kp, draws, grand):
+        assert pmf_rel_err(x, kp, draws, grand) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "x, kp, draws, grand",
+        [
+            (0, 30, 100, 10_000),  # x = 0, p < 0.1
+            (0, 5, 300, 1_000),  # x = 0, p >= 0.1
+            (5, 5, 100, 1_000),  # x = kp, q >= 0.1
+            (5, 5, 950, 1_000),  # x = kp, q < 0.1
+            (10, 50, 10, 1_000),  # x = draws
+            (300, 900, 300, 1_000),  # x = draws, p >= 0.1
+            (60, 100, 960, 1_000),  # draws - x = grand - kp, q < 0.1
+            (100, 500, 600, 1_000),  # draws - x = grand - kp, q >= 0.1
+            (1, 1, 1, 2),
+            (0, 0, 1, 2),
+            (69_990, 70_000, 99_990, 100_000),  # x = lowest, q < 0.1
+            (100, 100, 3_999_999, 4_000_000),  # x = kp, draws = grand - 1
+            (1, 100, 1, 4_000_000),  # x = draws = 1
+        ],
+    )
+    def test_support_ends(self, x, kp, draws, grand):
+        assert pmf_rel_err(x, kp, draws, grand) <= 1e-12
+
+    @given(
+        st.integers(min_value=2, max_value=5_000),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=-40, max_value=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rational_pmf(self, grand, kp_share, draw_share, z):
+        kp = round(kp_share * grand)
+        draws = min(grand - 1, max(1, round(draw_share * grand)))
+        mean = draws * kp / grand
+        sd = math.sqrt(mean * (1 - kp / grand) * (grand - draws) / grand)
+        lowest, highest = max(0, draws + kp - grand), min(draws, kp)
+        x = min(highest, max(lowest, round(mean + z * sd)))
+        # Far enough into the tails the pmf leaves the normal range of a
+        # double and only its order of magnitude survives.
+        assume(log_dhyper(x, kp, draws, grand) > -700.0)
+        assert pmf_rel_err(x, kp, draws, grand) <= 1e-12
 
 
 class TestRatios:
