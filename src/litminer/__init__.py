@@ -41,7 +41,6 @@ from .epmc import (
     EpmcCountClient,
     EpmcCountProvider,
     ProtocolError,
-    RemoteQuery,
     TransportError,
     build_query,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "PostingsIndex",
     "ProtocolError",
     "RankingMode",
-    "RemoteQuery",
     "TOKENIZER_VERSION",
     "TermResult",
     "TokenizedPhrase",

@@ -55,12 +55,6 @@ class ProtocolError(RuntimeError):
         super().__init__(f"{message} [query: {query_string}]")
 
 
-@dataclass(frozen=True)
-class RemoteQuery:
-    query_string: str
-    endpoint_params: Mapping[str, str]
-
-
 def format_date_clause(date_range: DateRange) -> str:
     return (
         f"(FIRST_PDATE:[{date_range.start.isoformat()}"
@@ -68,11 +62,7 @@ def format_date_clause(date_range: DateRange) -> str:
     )
 
 
-def build_query(
-    *phrases: str,
-    date_range: DateRange,
-    count_params: Mapping[str, str] | None = None,
-) -> RemoteQuery:
+def build_query(*phrases: str, date_range: DateRange) -> str:
     """Compose the service's boolean query for the given phrases and range.
 
     Each phrase is wrapped in double quotes for exact matching and the
@@ -90,16 +80,7 @@ def build_query(
             )
         parts.append(f'"{phrase}"')
     parts.append(format_date_clause(date_range))
-    params = DEFAULT_COUNT_PARAMS if count_params is None else count_params
-    return RemoteQuery(" AND ".join(parts), dict(params))
-
-
-@dataclass(frozen=True)
-class CountCacheEntry:
-    query_string: str
-    count: int
-    fetched_at: str
-    source: str
+    return " AND ".join(parts)
 
 
 class CountCache:
@@ -114,7 +95,7 @@ class CountCache:
     def __init__(self, path: str | Path | None):
         self._path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        self._entries: dict[str, CountCacheEntry] = {}
+        self._entries: dict[str, int] = {}
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -125,45 +106,35 @@ class CountCache:
                     continue
                 try:
                     record = json.loads(line)
-                    entry = CountCacheEntry(
-                        query_string=record["query"],
-                        count=record["count"],
-                        fetched_at=record["fetched_at"],
-                        source=record.get("source", ""),
-                    )
-                    if not isinstance(entry.count, int) or entry.count < 0:
+                    query_string, count = record["query"], record["count"]
+                    if not isinstance(query_string, str) or isinstance(count, bool):
+                        raise ValueError("bad record")
+                    if not isinstance(count, int) or count < 0:
                         raise ValueError("bad count")
                 except (ValueError, KeyError, TypeError):
                     logger.warning("%s: skipping unreadable cache line %d", self._path, line_no)
                     continue
-                self._entries[entry.query_string] = entry
+                self._entries[query_string] = count
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, query_string: str) -> int | None:
         with self._lock:
-            entry = self._entries.get(query_string)
-        return entry.count if entry is not None else None
+            return self._entries.get(query_string)
 
     def put(self, query_string: str, count: int, source: str) -> None:
-        entry = CountCacheEntry(
-            query_string=query_string,
-            count=count,
-            fetched_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            source=source,
-        )
         line = json.dumps(
             {
-                "query": entry.query_string,
-                "count": entry.count,
-                "fetched_at": entry.fetched_at,
-                "source": entry.source,
+                "query": query_string,
+                "count": count,
+                "fetched_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                "source": source,
             },
             ensure_ascii=False,
         )
         with self._lock:
-            self._entries[entry.query_string] = entry
+            self._entries[query_string] = count
             if self._path is not None:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
                 # One whole line per write keeps concurrent appends intact.
@@ -286,25 +257,24 @@ class EpmcCountClient:
             self.config.requests_per_second, self.config.max_in_flight
         )
 
-    def fetch_count(self, query: RemoteQuery) -> int:
-        """Hit count for ``query``, from cache when possible.
+    def fetch_count(self, query_string: str) -> int:
+        """Hit count for ``query_string``, from cache when possible.
 
         Cache lookups are keyed by the exact query string.  With
         ``bypass_cache`` the service is always asked, and the fresh answer
         still refreshes the cache for later runs.
         """
-        query_string = query.query_string
         if not self.config.bypass_cache:
             cached = self.cache.get(query_string)
             if cached is not None:
                 return cached
-        payload = self._request(query)
+        payload = self._request(query_string)
         count = self._extract_count(payload, query_string)
         self.cache.put(query_string, count, self.config.source_label)
         return count
 
-    def _request(self, query: RemoteQuery) -> Any:
-        params = {"query": query.query_string, **query.endpoint_params}
+    def _request(self, query_string: str) -> Any:
+        params = {"query": query_string, **self.config.count_params}
         if self.config.api_key:
             params[self.config.api_key_param] = self.config.api_key
         last_failure = "no attempts made"
@@ -330,15 +300,15 @@ class EpmcCountClient:
                     return response.json()
                 except ValueError as exc:
                     raise ProtocolError(
-                        query.query_string, f"response body is not JSON: {exc}"
+                        query_string, f"response body is not JSON: {exc}"
                     ) from exc
             if status == 429 or 500 <= status < 600:
                 last_failure = f"HTTP {status}"
                 logger.warning("attempt %d failed (%s), retrying", attempt + 1, last_failure)
                 continue
-            raise TransportError(query.query_string, f"HTTP {status}")
+            raise TransportError(query_string, f"HTTP {status}")
         raise TransportError(
-            query.query_string,
+            query_string,
             f"gave up after {self.config.max_attempts} attempts; last failure: {last_failure}",
         )
 
@@ -351,7 +321,7 @@ class EpmcCountClient:
                     f"count field {self.config.count_field!r} missing from response",
                 )
             node = node[part]
-        if isinstance(node, str) and node.isdigit():
+        if isinstance(node, str) and node.isdecimal():
             node = int(node)
         if isinstance(node, bool) or not isinstance(node, int):
             raise ProtocolError(
@@ -369,10 +339,7 @@ class EpmcCountProvider:
         self._client = client
 
     def _fetch(self, *phrases: str, date_range: DateRange) -> int:
-        query = build_query(
-            *phrases, date_range=date_range, count_params=self._client.config.count_params
-        )
-        return self._client.fetch_count(query)
+        return self._client.fetch_count(build_query(*phrases, date_range=date_range))
 
     def article_total(self, date_range: DateRange) -> int:
         return self._fetch(date_range=date_range)

@@ -83,11 +83,6 @@ class PostingsIndex:
             date.fromordinal(self._sorted_dates[-1]),
         )
 
-    def postings_for(self, token: str) -> list[tuple[str, tuple[int, ...]]]:
-        """Postings for one token as (external doc id, positions) pairs."""
-        entry = self._postings.get(token, {})
-        return [(self._doc_ids[internal], positions) for internal, positions in entry.items()]
-
     def article_count(self, date_range: DateRange) -> int:
         """Number of documents whose date falls inside the range."""
         lo = date_range.start.toordinal()

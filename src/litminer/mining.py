@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -167,14 +167,9 @@ def deduplicate_terms(terms: Sequence[str]) -> tuple[list[str], list[tuple[str, 
     return unique, duplicates
 
 
-def _ranking_ratio(result: TermResult, mode: RankingMode) -> float:
-    denom = result.term_count if mode is RankingMode.TERM_DENOMINATOR else result.kp_count
-    return result.both_count / denom
-
-
-def rank_results(results: Sequence[TermResult], mode: RankingMode = RankingMode.TERM_DENOMINATOR) -> list[TermResult]:
+def rank_results(results: Sequence[TermResult]) -> list[TermResult]:
     """Order results by ratio descending, ties by p ascending then term."""
-    return sorted(results, key=lambda r: (-_ranking_ratio(r, mode), r.p_value, r.term))
+    return sorted(results, key=lambda r: (-r.ratio, r.p_value, r.term))
 
 
 def _score_term(
@@ -285,7 +280,7 @@ def run_mining(
         )
 
     return MiningRun(
-        significant=rank_results(results, config.ranking_mode),
+        significant=rank_results(results),
         excluded=excluded,
         failed=failed,
         duplicates=duplicates,

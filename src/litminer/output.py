@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .mining import MiningRun, TermResult
+from .storage import write_atomically
 
 RESULTS_FORMAT_NAME = "litminer-results"
 RESULTS_FORMAT_VERSION = 1
@@ -37,18 +38,15 @@ class ResultParseError(ValueError):
 
 
 def display_ratio(r: TermResult) -> str:
-    """Three-decimal display form of the ranking ratio.
+    """Three-decimal display form of the ratio: ``ratio_full`` rounded half-up.
 
-    Rounded half-up from the exact count quotient, not from the float,
-    so quotients landing exactly on a half-thousandth (like 3/80) round
-    up instead of to-even.  Falls back to float formatting if the ratio
-    matches neither denominator (it always matches one in practice).
+    The shortest repr of ``both / denominator`` lies on the same side of
+    every half-thousandth as the exact quotient, and equals it when the
+    quotient is one (3/80 prints ``0.0375``), for any denominator below
+    about 2e12.  So this is the exact quotient's half-up rounding, without
+    the to-even or binary-representation slips of formatting the float.
     """
-    for denominator in (r.term_count, r.kp_count):
-        if denominator > 0 and r.ratio == r.both_count / denominator:
-            exact = Decimal(r.both_count) / Decimal(denominator)
-            return str(exact.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
-    return f"{r.ratio:.3f}"
+    return str(Decimal(repr(r.ratio)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
 def render_results_tsv(results: Sequence[TermResult]) -> str:
@@ -186,5 +184,5 @@ def render_report(run: MiningRun) -> str:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write ``text`` as UTF-8 to ``path`` atomically, so no reader sees a torn file."""
+    write_atomically(path, lambda fh: fh.write(text.encode("utf-8")))

@@ -31,7 +31,7 @@ import secrets
 import struct
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .index import Document, PostingsIndex
 from .tokenizer import TOKENIZER_VERSION
@@ -97,23 +97,29 @@ def _write_bytes(fh: io.BufferedWriter, data: bytes) -> None:
     fh.write(data)
 
 
-def save_index(index: PostingsIndex, path: str | Path) -> None:
-    """Write the index to ``path`` atomically (write then rename).
+def write_atomically(path: str | Path, write: Callable[[io.BufferedWriter], object]) -> None:
+    """Write ``path`` through ``write(fh)`` atomically (write then rename).
 
     The body goes to a new, uniquely named file beside ``path`` (created
     with ``O_EXCL``, so no other file is overwritten), which is renamed over
-    ``path`` once complete and removed if writing fails.
+    ``path`` once complete and removed if writing fails.  A reader sees the
+    old file or the whole new one, never a torn one.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with open(fd, "wb") as fh:
-            _write_index(fh, index)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_index(index: PostingsIndex, path: str | Path) -> None:
+    """Write the index to ``path`` atomically (see :func:`write_atomically`)."""
+    write_atomically(path, lambda fh: _write_index(fh, index))
 
 
 def _write_index(fh: io.BufferedWriter, index: PostingsIndex) -> None:

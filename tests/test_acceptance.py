@@ -314,7 +314,7 @@ def test_criterion_7_query_grammar_golden():
     )
     golden = b'"NANOG" AND "embryonic stem cell" AND (FIRST_PDATE:[1900-01-01 TO 2004-12-31])'
     elapsed = time.perf_counter() - began
-    ok = query.query_string.encode("utf-8") == golden
+    ok = query.encode("utf-8") == golden
     verdict(7, "query grammar golden", ok, f"byte-identical, {elapsed * 1000:.1f}ms")
 
 

@@ -77,21 +77,30 @@ def ok_response(count=7):
 
 class TestBuildQuery:
     def test_golden_two_phrase_query(self):
-        query = build_query("NANOG", "embryonic stem cell", date_range=RANGE_2004)
-        assert query.query_string == GOLDEN
+        assert build_query("NANOG", "embryonic stem cell", date_range=RANGE_2004) == GOLDEN
 
     def test_single_phrase(self):
         query = build_query("NANOG", date_range=RANGE_2004)
-        assert query.query_string == '"NANOG" AND (FIRST_PDATE:[1900-01-01 TO 2004-12-31])'
+        assert query == '"NANOG" AND (FIRST_PDATE:[1900-01-01 TO 2004-12-31])'
 
     def test_no_phrases_counts_every_article(self):
         query = build_query(date_range=RANGE_2004)
-        assert query.query_string == "(FIRST_PDATE:[1900-01-01 TO 2004-12-31])"
+        assert query == "(FIRST_PDATE:[1900-01-01 TO 2004-12-31])"
 
     def test_count_only_params(self):
+        # The query is the string alone; the client adds its count parameters.
+        session = FakeSession([ok_response(1)])
+        client = EpmcCountClient(fast_config(), session=session)
         query = build_query("NANOG", date_range=RANGE_2004)
-        assert query.endpoint_params == dict(DEFAULT_COUNT_PARAMS)
-        assert query.endpoint_params["pageSize"] == "0"
+        client.fetch_count(query)
+        assert session.calls[0]["params"] == {"query": query, **DEFAULT_COUNT_PARAMS}
+        assert session.calls[0]["params"]["pageSize"] == "0"
+
+    def test_configured_count_params_are_sent(self):
+        session = FakeSession([ok_response(1)])
+        client = EpmcCountClient(fast_config(count_params={"rows": "0"}), session=session)
+        client.fetch_count(build_query("NANOG", date_range=RANGE_2004))
+        assert session.calls[0]["params"] == {"query": build_query("NANOG", date_range=RANGE_2004), "rows": "0"}
 
     def test_rejects_empty_phrase(self):
         with pytest.raises(InvalidPhraseError):
@@ -128,6 +137,12 @@ class TestExtractCount:
     def test_non_count_values_rejected(self, bad):
         with pytest.raises(ProtocolError):
             self.fetch({"hitCount": bad})
+
+    @pytest.mark.parametrize("digits", ["\u00b2", "1\u00b2"])
+    def test_superscript_digit_strings_rejected(self, digits):
+        # "²" passes str.isdigit(), but int() cannot read it.
+        with pytest.raises(ProtocolError, match="non-integer"):
+            self.fetch({"hitCount": digits})
 
     def test_recorded_response_fixture(self):
         payload = json.loads(FIXTURE.read_text(encoding="utf-8"))
@@ -246,6 +261,40 @@ class TestCache:
         cache = CountCache(path)
         assert cache.get("q") == 3
         assert len(cache) == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"query": "q", "count": True},
+            {"query": "q", "count": False},
+            {"query": "q", "count": -1},
+            {"query": "q", "count": "3"},
+            {"query": ["q"], "count": 3},
+            {"count": 3},
+            ["q", 3],
+        ],
+    )
+    def test_malformed_records_skipped(self, tmp_path, caplog, bad):
+        path = tmp_path / "counts.jsonl"
+        good = {"query": "r", "count": 3, "fetched_at": "2020-01-01T00:00:00+00:00", "source": "a"}
+        path.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n", encoding="utf-8")
+        with caplog.at_level("WARNING", logger="litminer.epmc"):
+            cache = CountCache(path)
+        assert cache.get("q") is None
+        assert cache.get("r") == 3
+        assert len(cache) == 1
+        assert "unreadable cache line 1" in caplog.text
+
+    def test_bool_count_in_cache_is_refetched(self, tmp_path):
+        path = tmp_path / "counts.jsonl"
+        query = build_query("x", date_range=RANGE_2004)
+        record = {"query": query, "count": True, "fetched_at": "2020-01-01T00:00:00+00:00"}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        session = FakeSession([ok_response(6)])
+        client = EpmcCountClient(fast_config(cache_path=str(path)), session=session)
+        count = client.fetch_count(query)
+        assert count == 6 and type(count) is int
+        assert len(session.calls) == 1
 
     def test_no_path_is_memory_only(self):
         cache = CountCache(None)

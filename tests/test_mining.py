@@ -207,17 +207,18 @@ class TestRunMining:
         assert serial.excluded == parallel.excluded
 
 
-def result(term, both, term_count, kp=100, total=100_000):
+def result(term, both, term_count, kp=100, total=100_000, mode=RankingMode.TERM_DENOMINATOR):
     table_p = float(
         hypergeom_upper_tail_exact(both, term_count - both, kp - both, total - term_count - kp + both)
     )
+    denominator = term_count if mode is RankingMode.TERM_DENOMINATOR else kp
     return TermResult(
         term=term,
         both_count=both,
         term_count=term_count,
         kp_count=kp,
         article_total=total,
-        ratio=both / term_count,
+        ratio=both / denominator,
         p_value=table_p,
         significant=True,
     )
@@ -249,8 +250,10 @@ class TestRanking:
         narrow = result("narrow", 10, 10)
         broad = result("broad", 30, 90)
         assert [r.term for r in rank_results([narrow, broad])] == ["narrow", "broad"]
-        ranked = rank_results([narrow, broad], mode=RankingMode.KEYPHRASE_DENOMINATOR)
-        assert [r.term for r in ranked] == ["broad", "narrow"]
+        keyphrase = RankingMode.KEYPHRASE_DENOMINATOR
+        narrow = result("narrow", 10, 10, mode=keyphrase)
+        broad = result("broad", 30, 90, mode=keyphrase)
+        assert [r.term for r in rank_results([narrow, broad])] == ["broad", "narrow"]
 
     def test_result_ratio_reflects_mode(self, full_range):
         # gamma: term_count 2, both 1 -> p = 0.8, kept at this loose threshold

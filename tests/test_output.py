@@ -1,15 +1,20 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litminer import MinerConfig, RankingMode, run_mining
+from litminer.mining import TermResult
 from litminer.output import (
     ResultParseError,
+    display_ratio,
     parse_results_json,
     parse_results_tsv,
     render_report,
     render_results_json,
     render_results_tsv,
+    write_text,
 )
 from helpers import FailingProvider, StubCountProvider
 
@@ -114,6 +119,89 @@ class TestReport:
         for entry in over:
             assert entry["result"]["term"] == entry["term"]
             assert entry["result"]["p_value"] >= 0.05
+
+
+def quotient_result(a, b):
+    return TermResult("t", a, b, b, 2 * b, a / b, 0.5, True)
+
+
+def exact_half_up(a, b):
+    """``a / b`` rounded half-up to three decimals, in integers."""
+    thousandths = (2000 * a + b) // (2 * b)
+    return f"{thousandths // 1000}.{thousandths % 1000:03d}"
+
+
+LARGEST_COUNT = 10**12
+
+
+@st.composite
+def quotients(draw):
+    b = draw(st.integers(min_value=1, max_value=LARGEST_COUNT))
+    return draw(st.integers(min_value=0, max_value=b)), b
+
+
+@st.composite
+def half_thousandths(draw):
+    """An exact half-thousandth ``(2k + 1) / 2000``, or a neighbour at +-1/b."""
+    m = draw(st.integers(min_value=1, max_value=LARGEST_COUNT // 2000))
+    k = draw(st.integers(min_value=0, max_value=999))
+    return (2 * k + 1) * m + draw(st.sampled_from((-1, 0, 1))), 2000 * m
+
+
+def nearest_miss(b, side):
+    """The ``a`` putting ``a / b`` as close to a half-thousandth as it gets.
+
+    ``2000 a - (2k + 1) b = side`` (+-1), so the quotient is ``1 / (2000 b)``
+    above or below the half-thousandth; that needs ``b`` coprime to 10.
+    """
+    odd = (-side * pow(b, -1, 2000)) % 2000
+    return (odd * b + side) // 2000
+
+
+@st.composite
+def nearest_misses(draw):
+    b = 10 * draw(st.integers(min_value=0, max_value=LARGEST_COUNT // 10 - 1))
+    b += draw(st.sampled_from((1, 3, 7, 9)))
+    return nearest_miss(b, draw(st.sampled_from((-1, 1)))), b
+
+
+class TestDisplayRatio:
+    @given(st.one_of(quotients(), half_thousandths(), nearest_misses()))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_exact_half_up_rounding(self, pair):
+        a, b = pair
+        assert display_ratio(quotient_result(a, b)) == exact_half_up(a, b)
+
+    @pytest.mark.parametrize("b", [2000, 10**12, 1_999_999_998_000])
+    def test_every_half_thousandth_and_its_neighbours(self, b):
+        m = b // 2000
+        wrong = []
+        for k in range(1000):
+            for a in ((2 * k + 1) * m - 1, (2 * k + 1) * m, (2 * k + 1) * m + 1):
+                if display_ratio(quotient_result(a, b)) != exact_half_up(a, b):
+                    wrong.append((a, b))
+        assert wrong == []
+
+    @pytest.mark.parametrize("b", [999_999_999_997, 1_999_999_999_999])
+    def test_nearest_misses_at_large_denominators(self, b):
+        for a in (nearest_miss(b, -1), nearest_miss(b, 1)):
+            assert display_ratio(quotient_result(a, b)) == exact_half_up(a, b)
+
+    def test_half_thousandth_rounds_up(self):
+        # 3/80 is 0.0375 exactly; its float is just below, so "%.3f" gives 0.037.
+        assert display_ratio(quotient_result(3, 80)) == "0.038"
+        assert display_ratio(quotient_result(0, 7)) == "0.000"
+        assert display_ratio(quotient_result(7, 7)) == "1.000"
+
+
+class TestWriteText:
+    def test_failed_write_keeps_old_file_and_leaves_no_tmp(self, tmp_path):
+        path = tmp_path / "results.tsv"
+        write_text(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text(path, "new \ud800\n")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["results.tsv"]
 
 
 def text_ends_with_newline(text):

@@ -19,7 +19,7 @@ from litminer import (
     read_corpus,
     save_index,
 )
-from litminer.storage import parse_corpus_line
+from litminer.storage import parse_corpus_line, write_atomically
 
 
 def line_for(doc_id="d1", pub="2001-03-10", text="alpha beta"):
@@ -140,6 +140,23 @@ class TestRoundTrip:
             save_index(broken, path)
         assert [p.name for p in tmp_path.iterdir()] == ["six.idx"]
         assert queries(load_index(path), full_range) == queries(six_index, full_range)
+
+
+class TestWriteAtomically:
+    def test_write_that_raises_part_way_keeps_old_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_atomically(path, lambda fh: fh.write(b"old"))
+
+        def torn(fh):
+            fh.write(b"half of the new")
+            fh.flush()
+            raise RuntimeError("crash mid-write")
+
+        with pytest.raises(RuntimeError):
+            write_atomically(path, torn)
+        assert path.read_bytes() == b"old"
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 WORDS = ["alpha", "beta", "stem", "cell", "line", "assay"]
