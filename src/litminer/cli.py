@@ -34,13 +34,12 @@ from .output import (
 )
 from .stats import (
     InconsistentCountsError,
-    UndefinedRatioError,
     co_occurrence_ratio,
     derive_table,
     fisher_one_sided,
 )
 from .storage import CorpusFormatError, IndexFormatError, load_index, read_corpus, save_index
-from .tokenizer import InvalidPhraseError
+from .tokenizer import InvalidPhraseError, normalize_tokenize
 
 DEFAULT_RANGE_START = date(1900, 1, 1)
 
@@ -237,6 +236,9 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     if len(args.phrases) > 2:
         raise UsageError("count takes one phrase, or a TERM KEY_PHRASE pair")
+    for phrase in args.phrases:
+        if not normalize_tokenize(phrase):
+            raise UsageError(f"phrase {phrase!r} contains no indexable tokens")
     date_range = _date_range(args)
     provider, _identity = _resolve_provider(args)
     article_total = provider.article_total(date_range)
@@ -255,7 +257,10 @@ def cmd_count(args: argparse.Namespace) -> int:
             f" no_targ_kp={table.no_targ_kp} no_targ_no_kp={table.no_targ_no_kp}"
         )
         print(f"fisher_one_sided_p: {fisher_one_sided(table)!r}")
-        print(f"co_occurrence_ratio: {co_occurrence_ratio(table)!r}")
+        if table.term_total == 0:
+            print("co_occurrence_ratio: undefined (term matches no documents)")
+        else:
+            print(f"co_occurrence_ratio: {co_occurrence_ratio(table)!r}")
     return 0
 
 
@@ -355,7 +360,6 @@ def main(argv: list[str] | None = None) -> int:
         IngestionError,
         InvalidPhraseError,
         InconsistentCountsError,
-        UndefinedRatioError,
         MiningError,
         TransportError,
         ProtocolError,

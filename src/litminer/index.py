@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from typing import Iterable
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import and_, lshift, sub
+from typing import Iterable, Sequence
 
 from .tokenizer import TokenizedPhrase, normalize_tokenize
+
+# Typecode of the arrays that hold dates, doc ids, offsets and positions:
+# unsigned 32-bit on every platform CPython supports, little-endian on disk.
+U32 = "I"
 
 
 class IngestionError(ValueError):
@@ -39,31 +46,45 @@ class DateRange:
 
 
 class PostingsIndex:
-    """Token -> postings map over a fixed document set.
+    """Token -> postings over a fixed document set, held in flat arrays.
 
-    Postings hold (internal doc id, positions) with doc ids ascending and
-    positions strictly increasing.  The documents and postings never change
-    once built.  The only mutable state is a one-slot memo of the last key
-    phrase's in-window documents used by :meth:`count_with_both`.  It holds
-    one immutable ``(key, docs)`` pair and is replaced by a single attribute
-    assignment, so a concurrent reader sees either the old pair or the new
-    one, never a key with another key's documents, and any number of
-    threads may query one index concurrently.
+    Internal doc ids number the documents in ``(date, doc_id)`` order, so
+    the documents of a date window are the id range ``[lo, hi)``.  Token
+    ``t``'s postings are ``docs[s:e]`` for ``(s, e) = spans[t]``, doc ids
+    ascending; posting ``j``'s positions are
+    ``positions[offsets[j]:offsets[j + 1]]``, strictly increasing.  Tokens
+    are in ascending order and their postings follow each other.
+
+    The arrays never change once built.  Two caches fill as queries arrive:
+    a one-slot memo of the last key phrase's in-window documents, and, for
+    each token of a multi-token phrase checked so far, a ``{doc: position
+    bitmask}`` map (bit ``p`` set when the token is at position ``p``).  Both are
+    idempotent and each is published by one assignment (an attribute, a
+    dict item), so a concurrent reader sees the old value or a complete new
+    one, and any number of threads may query one index concurrently.
     """
 
     def __init__(
         self,
         doc_ids: list[str],
-        date_ordinals: list[int],
-        postings: dict[str, dict[int, tuple[int, ...]]],
+        dates: array,
+        spans: dict[str, tuple[int, int]],
+        docs: array,
+        offsets: array,
+        positions: array,
         corpus_name: str,
         built_at: datetime,
     ):
         self._doc_ids = doc_ids
-        self._dates = date_ordinals
-        self._sorted_dates = sorted(date_ordinals)
-        self._postings = postings
-        self._key_docs: tuple[tuple[tuple[str, ...], DateRange] | None, tuple[int, ...]] = (None, ())
+        self._dates = dates
+        self._spans = spans
+        self._docs = docs
+        self._offsets = offsets
+        self._positions = positions
+        self._masks: dict[str, dict[int, int]] = {}
+        self._key_docs: tuple[
+            tuple[tuple[str, ...], DateRange] | None, Sequence[int], frozenset[int]
+        ] = (None, (), frozenset())
         self.corpus_name = corpus_name
         self.built_at = built_at
 
@@ -73,35 +94,36 @@ class PostingsIndex:
 
     @property
     def token_count(self) -> int:
-        return len(self._postings)
+        return len(self._spans)
 
     def date_span(self) -> tuple[date, date] | None:
-        if not self._sorted_dates:
+        if not self._dates:
             return None
+        return date.fromordinal(self._dates[0]), date.fromordinal(self._dates[-1])
+
+    def _window(self, date_range: DateRange) -> tuple[int, int]:
+        """The internal id range ``[lo, hi)`` of the documents inside the range."""
+        dates = self._dates
         return (
-            date.fromordinal(self._sorted_dates[0]),
-            date.fromordinal(self._sorted_dates[-1]),
+            bisect_left(dates, date_range.start.toordinal()),
+            bisect_right(dates, date_range.end.toordinal()),
         )
 
     def article_count(self, date_range: DateRange) -> int:
         """Number of documents whose date falls inside the range."""
-        lo = date_range.start.toordinal()
-        hi = date_range.end.toordinal()
-        return bisect_right(self._sorted_dates, hi) - bisect_left(self._sorted_dates, lo)
+        lo, hi = self._window(date_range)
+        return hi - lo
 
     def count_with(self, phrase: TokenizedPhrase, date_range: DateRange) -> int:
         """Number of in-range documents containing the contiguous phrase.
 
         Each document counts once no matter how often the phrase occurs.
         """
+        lo, hi = self._window(date_range)
         if len(phrase.tokens) == 1:
-            lo = date_range.start.toordinal()
-            hi = date_range.end.toordinal()
-            dates = self._dates
-            return sum(
-                1 for doc in self._postings.get(phrase.tokens[0], ()) if lo <= dates[doc] <= hi
-            )
-        return len(self._matching_docs(phrase.tokens, date_range))
+            i, j = self._rarest_postings(phrase.tokens, lo, hi)
+            return j - i
+        return len(self._matching_docs(phrase.tokens, lo, hi))
 
     def count_with_both(
         self, phrase_a: TokenizedPhrase, phrase_b: TokenizedPhrase, date_range: DateRange
@@ -109,81 +131,113 @@ class PostingsIndex:
         """Number of in-range documents containing both phrases.
 
         ``phrase_b`` is the key phrase in a mining run: its in-range
-        documents are evaluated once and kept in a one-slot memo, and
-        ``phrase_a`` is checked in each of them, so the cost scales with the
-        key phrase's document count, not the term's.
+        documents are evaluated once and kept in a one-slot memo.  The
+        candidates are the smaller of those and the in-range documents of
+        ``phrase_a``'s rarest token, so the cost mostly scales with the
+        smaller of the key phrase's and the term's document counts.
         """
+        lo, hi = self._window(date_range)
         key = (phrase_b.tokens, date_range)
         memo = self._key_docs
         if memo[0] != key:
-            memo = (key, tuple(self._matching_docs(phrase_b.tokens, date_range)))
+            key_docs = self._matching_docs(phrase_b.tokens, lo, hi)
+            memo = (key, key_docs, frozenset(key_docs))
             self._key_docs = memo
-        docs = memo[1]
-        maps = self._token_maps(phrase_a.tokens)
-        if maps is None:
-            return 0
-        for m in maps:
-            docs = list(filter(m.__contains__, docs))
-        if len(maps) == 1:
-            return len(docs)
-        return sum(1 for doc in docs if self._phrase_in_doc(maps, doc))
+        _, key_docs, key_set = memo
+        tokens = phrase_a.tokens
+        i, j = self._rarest_postings(tokens, lo, hi)
+        # A one-token term is checked through its position map only when a
+        # phrase has already built one: building it costs more than one scan.
+        if j - i > len(key_docs) and (len(tokens) > 1 or tokens[0] in self._masks):
+            return len(self._with_phrase(tokens, key_docs))
+        candidates = list(filter(key_set.__contains__, self._docs[i:j]))
+        if len(tokens) == 1:
+            return len(candidates)
+        return len(self._with_phrase(tokens, candidates))
 
-    def _token_maps(self, tokens: tuple[str, ...]) -> list[dict[int, tuple[int, ...]]] | None:
-        """Posting maps for each token, or None when some token is absent."""
-        maps = []
-        for token in tokens:
-            entry = self._postings.get(token)
-            if entry is None:
-                return None
-            maps.append(entry)
-        return maps
+    def _rarest_postings(self, tokens: tuple[str, ...], lo: int, hi: int) -> tuple[int, int]:
+        """The slice of ``docs`` holding the in-window postings of the rarest token.
 
-    def _matching_docs(self, tokens: tuple[str, ...], date_range: DateRange) -> list[int]:
-        maps = self._token_maps(tokens)
-        if maps is None:
-            return []
-        lo = date_range.start.toordinal()
-        hi = date_range.end.toordinal()
-        dates = self._dates
-        if len(maps) == 1:
-            return [doc for doc in maps[0] if lo <= dates[doc] <= hi]
-        candidates = maps[0].keys() & maps[1].keys()
-        for m in maps[2:]:
-            candidates &= m.keys()
-        return [
-            doc
-            for doc in candidates
-            if lo <= dates[doc] <= hi and self._phrase_in_doc(maps, doc)
-        ]
-
-    @staticmethod
-    def _phrase_in_doc(maps: list[dict[int, tuple[int, ...]]], doc: int) -> bool:
-        """True when the tokens of ``maps`` occur at consecutive positions in ``doc``.
-
-        Needs at least two maps, each containing ``doc``.  Works on the
-        positions where the phrase would end, so two tokens take one
-        ``isdisjoint``.
+        The rarest token is the one with the fewest documents in ``[lo, hi)``;
+        the slice is empty when some token is absent from the index.
         """
-        last = len(maps) - 1
-        ends = {p + last for p in maps[0][doc]}
-        for offset in range(1, last):
-            ends.intersection_update([p + last - offset for p in maps[offset][doc]])
-        return not ends.isdisjoint(maps[last][doc])
+        spans = [self._spans.get(token) for token in tokens]
+        if None in spans:
+            return 0, 0
+        docs = self._docs
+        windows = [(bisect_left(docs, lo, s, e), bisect_left(docs, hi, s, e)) for s, e in spans]
+        return min(windows, key=lambda w: w[1] - w[0])
+
+    def _matching_docs(self, tokens: tuple[str, ...], lo: int, hi: int) -> Sequence[int]:
+        """Ascending ids in ``[lo, hi)`` of the documents containing the phrase."""
+        i, j = self._rarest_postings(tokens, lo, hi)
+        if len(tokens) == 1 or i == j:
+            return self._docs[i:j]
+        return self._with_phrase(tokens, self._docs[i:j])
+
+    def _with_phrase(self, tokens: tuple[str, ...], candidates: Sequence[int]) -> list[int]:
+        """The candidates (ascending ids) in which the tokens occur contiguously.
+
+        ``acc`` holds the positions at which the phrase so far ends: the
+        first token's mask, then for each further token ``(acc << 1) &
+        mask``.  A document missing a token gets mask 0 and drops out.
+        """
+        masks = []
+        for token in tokens:
+            token_masks = self._token_masks(token)
+            if token_masks is None:
+                return []
+            masks.append(token_masks)
+        acc = map(masks[0].get, candidates, repeat(0))
+        for token_masks in masks[1:]:
+            shifted = map(lshift, acc, repeat(1))
+            acc = map(and_, shifted, map(token_masks.get, candidates, repeat(0)))
+        return list(compress(candidates, acc))
+
+    def _token_masks(self, token: str) -> dict[int, int] | None:
+        """``{doc: position bitmask}`` for the token, or None when it is absent.
+
+        Built from the arrays on first use and kept for the index's lifetime.
+        """
+        masks = self._masks.get(token)
+        if masks is None:
+            span = self._spans.get(token)
+            if span is None:
+                return None
+            s, e = span
+            offsets = self._offsets
+            positions = iter(self._positions[offsets[s] : offsets[e]])
+            counts = map(sub, offsets[s + 1 : e + 1], offsets[s:e])
+            # Positions within a posting are distinct, so their powers of two
+            # sum to their union.
+            bits = [sum(map(lshift, repeat(1), islice(positions, n))) for n in counts]
+            masks = dict(zip(self._docs[s:e], bits))
+            self._masks[token] = masks
+        return masks
 
     def verify_invariants(self) -> None:
         """Structural self-check used by tests; raises AssertionError on damage."""
-        assert len(self._dates) == len(self._doc_ids)
-        assert self._sorted_dates == sorted(self._dates)
-        assert self._doc_ids == sorted(self._doc_ids)
-        for token, entry in self._postings.items():
-            assert entry, f"token {token!r} has an empty posting list"
-            docs = list(entry)
-            assert docs == sorted(docs), f"postings for {token!r} not sorted by doc"
-            assert len(set(docs)) == len(docs) <= self.doc_count
-            for doc, positions in entry.items():
-                assert 0 <= doc < self.doc_count
-                assert positions, f"empty position list for {token!r} in doc {doc}"
-                assert all(a < b for a, b in zip(positions, positions[1:]))
+        n = self.doc_count
+        assert len(self._dates) == n
+        keys = list(zip(self._dates, self._doc_ids))
+        assert all(a < b for a, b in zip(keys, keys[1:])), "documents not in (date, doc_id) order"
+        assert len(set(self._doc_ids)) == n, "duplicate doc_id"
+        assert all(date.min.toordinal() <= d <= date.max.toordinal() for d in self._dates)
+        assert list(self._spans) == sorted(self._spans)
+        assert len(self._offsets) == len(self._docs) + 1
+        assert self._offsets[0] == 0 and self._offsets[-1] == len(self._positions)
+        start = 0
+        for token, (s, e) in self._spans.items():
+            assert s == start < e, f"postings for {token!r} are empty or out of place"
+            start = e
+            docs = self._docs[s:e]
+            assert all(a < b for a, b in zip(docs, docs[1:])), f"postings for {token!r} not sorted"
+            assert docs[-1] < n
+        assert start == len(self._docs)
+        for j in range(len(self._docs)):
+            positions = self._positions[self._offsets[j] : self._offsets[j + 1]]
+            assert positions, f"empty position list in posting {j}"
+            assert all(a < b for a, b in zip(positions, positions[1:]))
 
 
 def build_index(
@@ -192,27 +246,45 @@ def build_index(
     built_at: datetime | None = None,
 ) -> PostingsIndex:
     """Index a document stream.  Input order does not affect the result."""
-    docs = sorted(documents, key=lambda d: d.doc_id)
-    previous_id = None
+    docs = list(documents)
+    seen: set[str] = set()
     for doc in docs:
         if not isinstance(doc.doc_id, str) or not doc.doc_id:
             raise IngestionError(f"document id must be a non-empty string, got {doc.doc_id!r}")
-        if doc.doc_id == previous_id:
+        if doc.doc_id in seen:
             raise IngestionError(f"duplicate doc_id {doc.doc_id!r}")
         if not isinstance(doc.pub_date, date):
             raise IngestionError(f"doc {doc.doc_id!r} has invalid date {doc.pub_date!r}")
-        previous_id = doc.doc_id
+        seen.add(doc.doc_id)
+    docs.sort(key=lambda d: (d.pub_date.toordinal(), d.doc_id))
 
-    doc_ids = [d.doc_id for d in docs]
-    date_ordinals = [d.pub_date.toordinal() for d in docs]
-    postings: dict[str, dict[int, tuple[int, ...]]] = {}
+    # token -> its doc ids, and the list of its positions in each of them
+    token_docs: dict[str, list[int]] = {}
+    token_positions: dict[str, list[list[int]]] = {}
     for internal, doc in enumerate(docs):
         per_token: dict[str, list[int]] = {}
         for token, position in normalize_tokenize(doc.text):
             per_token.setdefault(token, []).append(position)
         for token, positions in per_token.items():
-            postings.setdefault(token, {})[internal] = tuple(positions)
+            token_docs.setdefault(token, []).append(internal)
+            token_positions.setdefault(token, []).append(positions)
+
+    tokens = sorted(token_docs)
+    doc_lists = [token_docs[token] for token in tokens]
+    ends = list(accumulate(map(len, doc_lists)))
+    spans = dict(zip(tokens, zip([0, *ends], ends)))
+    position_lists = list(chain.from_iterable(map(token_positions.__getitem__, tokens)))
+    offsets = array(U32, accumulate(map(len, position_lists), initial=0))
 
     if built_at is None:
         built_at = datetime.now(timezone.utc)
-    return PostingsIndex(doc_ids, date_ordinals, postings, corpus_name, built_at)
+    return PostingsIndex(
+        [d.doc_id for d in docs],
+        array(U32, [d.pub_date.toordinal() for d in docs]),
+        spans,
+        array(U32, chain.from_iterable(doc_lists)),
+        offsets,
+        array(U32, chain.from_iterable(position_lists)),
+        corpus_name,
+        built_at,
+    )

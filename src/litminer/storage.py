@@ -3,22 +3,32 @@
 Corpus files are UTF-8 JSON Lines: one object per line with string fields
 ``id``, ``date`` (YYYY-MM-DD) and ``text``.
 
-Index files are binary, little-endian throughout:
+Index files are binary, little-endian throughout.  A 16-byte header:
 
-    magic            8 bytes  b"LITMIDX\\0"
-    format version   u16
+    magic             8 bytes  b"LITMIDX\\0"
+    format version    u16      (2)
     tokenizer version u16
-    reserved         u32      (zero)
-    doc count        u64
-    corpus name      u32 length + UTF-8 bytes
-    built at         u64      (Unix seconds, UTC)
-    doc table        doc_count * (u32 length + id bytes, u32 date ordinal)
-    token count      u32
-    token entries    token bytes, u32 posting count,
-                     then per posting: u32 doc, u32 n, n * u32 positions
+    body CRC32        u32      (zlib.crc32 of every byte after the header)
 
-Loading refuses files whose format or tokenizer version does not match
-this build, since either mismatch silently changes query semantics.
+then the body, whose sections are arrays of u32 written and read whole:
+
+    doc count N, token count T, posting count P, position count Q   4 * u32
+    built at          u64      (Unix seconds, UTC)
+    corpus name       1 * u32 byte length, then the UTF-8 bytes
+    doc dates         N * u32  date ordinals, ascending
+    doc ids           N * u32 byte lengths, then the UTF-8 bytes
+    tokens            T * u32 byte lengths, then the UTF-8 bytes, ascending
+    postings per token  T * u32, each at least 1, summing to P
+    docs              P * u32  each token's internal doc ids, ascending
+    offsets           (P + 1) * u32  posting j's positions are
+                      positions[offsets[j]:offsets[j + 1]]
+    positions         Q * u32  strictly increasing within each posting
+
+Internal doc ids number the documents in (date, doc id) order.  Loading
+refuses files whose format or tokenizer version does not match this build,
+since either mismatch silently changes query semantics, any file whose
+CRC32 does not match its body, and any body whose structure breaks these
+orders and bounds, so a damaged index fails loudly instead of counting.
 """
 
 from __future__ import annotations
@@ -29,15 +39,23 @@ import os
 import re
 import secrets
 import struct
+import sys
+import zlib
+from array import array
 from datetime import date, datetime, timezone
+from itertools import accumulate, islice
+from operator import lt
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .index import Document, PostingsIndex
+from .index import U32, Document, PostingsIndex
 from .tokenizer import TOKENIZER_VERSION
 
 INDEX_MAGIC = b"LITMIDX\x00"
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
+_HEADER = struct.Struct("<8sHHI")
+_MIN_ORDINAL = date.min.toordinal()
+_MAX_ORDINAL = date.max.toordinal()
 
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
 
@@ -92,11 +110,6 @@ def read_corpus(path: str | Path) -> Iterator[Document]:
             yield parse_corpus_line(line, line_no)
 
 
-def _write_bytes(fh: io.BufferedWriter, data: bytes) -> None:
-    fh.write(struct.pack("<I", len(data)))
-    fh.write(data)
-
-
 def write_atomically(path: str | Path, write: Callable[[io.BufferedWriter], object]) -> None:
     """Write ``path`` through ``write(fh)`` atomically (write then rename).
 
@@ -122,89 +135,174 @@ def save_index(index: PostingsIndex, path: str | Path) -> None:
     write_atomically(path, lambda fh: _write_index(fh, index))
 
 
+def _little_endian(values: array) -> array:
+    if sys.byteorder == "big":
+        values = array(values.typecode, values)
+        values.byteswap()
+    return values
+
+
+def _string_table(strings: Iterable[str]) -> list[bytes | array]:
+    encoded = [string.encode("utf-8") for string in strings]
+    return [_little_endian(array(U32, map(len, encoded))), b"".join(encoded)]
+
+
 def _write_index(fh: io.BufferedWriter, index: PostingsIndex) -> None:
+    body = [
+        struct.pack(
+            "<IIIIQ",
+            index.doc_count,
+            index.token_count,
+            len(index._docs),
+            len(index._positions),
+            int(index.built_at.timestamp()),
+        ),
+        *_string_table([index.corpus_name]),
+        _little_endian(index._dates),
+        *_string_table(index._doc_ids),
+        *_string_table(index._spans),
+        _little_endian(array(U32, [e - s for s, e in index._spans.values()])),
+        _little_endian(index._docs),
+        _little_endian(index._offsets),
+        _little_endian(index._positions),
+    ]
+    crc = 0
+    for part in body:
+        crc = zlib.crc32(part, crc)
     fh.write(INDEX_MAGIC)
-    fh.write(struct.pack("<HHI", INDEX_FORMAT_VERSION, TOKENIZER_VERSION, 0))
-    fh.write(struct.pack("<Q", index.doc_count))
-    _write_bytes(fh, index.corpus_name.encode("utf-8"))
-    fh.write(struct.pack("<Q", int(index.built_at.timestamp())))
-    dates = index._dates
-    for internal, doc_id in enumerate(index._doc_ids):
-        _write_bytes(fh, doc_id.encode("utf-8"))
-        fh.write(struct.pack("<I", dates[internal]))
-    postings = index._postings
-    fh.write(struct.pack("<I", len(postings)))
-    for token in sorted(postings):
-        entry = postings[token]
-        _write_bytes(fh, token.encode("utf-8"))
-        fh.write(struct.pack("<I", len(entry)))
-        for doc in sorted(entry):
-            positions = entry[doc]
-            fh.write(struct.pack(f"<II{len(positions)}I", doc, len(positions), *positions))
+    fh.write(struct.pack("<HHI", INDEX_FORMAT_VERSION, TOKENIZER_VERSION, crc))
+    for part in body:
+        fh.write(part)
 
 
-class _Reader:
-    def __init__(self, fh: io.BufferedReader):
-        self._fh = fh
+class _Cursor:
+    """Reads the sections of a checksummed index body in order."""
 
-    def exactly(self, n: int) -> bytes:
-        data = self._fh.read(n)
-        if len(data) != n:
+    def __init__(self, body: memoryview):
+        self._body = body
+        self._at = 0
+
+    def take(self, n: int) -> memoryview:
+        end = self._at + n
+        if end > len(self._body):
             raise IndexFormatError("index file is truncated")
-        return data
+        chunk = self._body[self._at : end]
+        self._at = end
+        return chunk
 
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.exactly(struct.calcsize(fmt)))
+    def u32s(self, n: int) -> array:
+        values = array(U32)
+        values.frombytes(self.take(4 * n))
+        if sys.byteorder == "big":
+            values.byteswap()
+        return values
 
-    def string(self) -> str:
-        (length,) = self.unpack("<I")
+    def strings(self, n: int) -> list[str]:
+        """``n`` UTF-8 strings stored as their byte lengths, then their bytes."""
+        ends = list(accumulate(self.u32s(n)))
+        blob = self.take(ends[-1] if ends else 0)
         try:
-            return self.exactly(length).decode("utf-8")
+            return [str(blob[a:b], "utf-8") for a, b in zip([0] + ends, ends)]
         except UnicodeDecodeError as exc:
             raise IndexFormatError("index file contains invalid UTF-8") from exc
 
+    def at_end(self) -> bool:
+        return self._at == len(self._body)
+
+
+def _ascending(values: Sequence) -> bool:
+    return all(map(lt, values, islice(values, 1, None)))
+
+
+def _ascending_in_groups(values: array, starts: Iterable[int]) -> bool:
+    """True when ``values`` strictly ascends within each group.
+
+    Groups are consecutive; ``starts`` holds the index at which each group
+    after the first begins.  A value may fall only where a group begins.
+    """
+    rises = list(map(lt, values, islice(values, 1, None)))
+    falls = rises.count(False)
+    if not falls:
+        return True
+    rises.insert(0, True)  # rises[s] now compares values[s - 1] with values[s]
+    return list(map(rises.__getitem__, starts)).count(False) == falls
+
 
 def load_index(path: str | Path) -> PostingsIndex:
-    """Load an index written by :func:`save_index`."""
-    with open(path, "rb") as fh:
-        reader = _Reader(fh)
-        magic = reader.exactly(len(INDEX_MAGIC))
-        if magic != INDEX_MAGIC:
+    """Load an index written by :func:`save_index`.
+
+    Raises :class:`IndexFormatError` for a file of another format or
+    tokenizer version, a damaged or truncated file (CRC32 mismatch), or a
+    body whose structure breaks the index's invariants.
+    """
+    data = Path(path).read_bytes()
+    if len(data) < _HEADER.size:
+        if not INDEX_MAGIC.startswith(data[: len(INDEX_MAGIC)]):
             raise IndexFormatError(f"{path}: not an index file (bad magic)")
-        format_version, tokenizer_version, _reserved = reader.unpack("<HHI")
-        if format_version != INDEX_FORMAT_VERSION:
-            raise IndexFormatError(
-                f"{path}: format version {format_version} is not supported"
-                f" (this build reads version {INDEX_FORMAT_VERSION})"
-            )
-        if tokenizer_version != TOKENIZER_VERSION:
-            raise IndexFormatError(
-                f"{path}: built with tokenizer version {tokenizer_version},"
-                f" this build uses {TOKENIZER_VERSION}; rebuild the index"
-            )
-        (doc_count,) = reader.unpack("<Q")
-        corpus_name = reader.string()
-        (built_ts,) = reader.unpack("<Q")
-        doc_ids: list[str] = []
-        date_ordinals: list[int] = []
-        for _ in range(doc_count):
-            doc_ids.append(reader.string())
-            (ordinal,) = reader.unpack("<I")
-            date_ordinals.append(ordinal)
-        (token_count,) = reader.unpack("<I")
-        postings: dict[str, dict[int, tuple[int, ...]]] = {}
-        for _ in range(token_count):
-            token = reader.string()
-            (n_postings,) = reader.unpack("<I")
-            entry: dict[int, tuple[int, ...]] = {}
-            for _ in range(n_postings):
-                doc, n_positions = reader.unpack("<II")
-                if doc >= doc_count:
-                    raise IndexFormatError(f"{path}: posting references unknown doc {doc}")
-                positions = reader.unpack(f"<{n_positions}I")
-                entry[doc] = positions
-            postings[token] = entry
-        if fh.read(1):
-            raise IndexFormatError(f"{path}: trailing data after index body")
+        raise IndexFormatError(f"{path}: index file is truncated")
+    magic, format_version, tokenizer_version, crc = _HEADER.unpack_from(data)
+    if magic != INDEX_MAGIC:
+        raise IndexFormatError(f"{path}: not an index file (bad magic)")
+    if format_version != INDEX_FORMAT_VERSION:
+        raise IndexFormatError(
+            f"{path}: format version {format_version} is not supported"
+            f" (this build reads version {INDEX_FORMAT_VERSION}); rebuild the index"
+        )
+    if tokenizer_version != TOKENIZER_VERSION:
+        raise IndexFormatError(
+            f"{path}: built with tokenizer version {tokenizer_version},"
+            f" this build uses {TOKENIZER_VERSION}; rebuild the index"
+        )
+    body = memoryview(data)[_HEADER.size :]
+    if zlib.crc32(body) != crc:
+        raise IndexFormatError(
+            f"{path}: index file is truncated or damaged (CRC32 mismatch); rebuild the index"
+        )
+    try:
+        return _parse_body(_Cursor(body))
+    except IndexFormatError as exc:
+        raise IndexFormatError(f"{path}: {exc}") from None
+
+
+def _parse_body(cursor: _Cursor) -> PostingsIndex:
+    doc_count, token_count, posting_count, position_count, built_ts = struct.unpack(
+        "<IIIIQ", cursor.take(24)
+    )
+    (corpus_name,) = cursor.strings(1)
+    dates = cursor.u32s(doc_count)
+    doc_ids = cursor.strings(doc_count)
+    tokens = cursor.strings(token_count)
+    counts = cursor.u32s(token_count)
+    docs = cursor.u32s(posting_count)
+    offsets = cursor.u32s(posting_count + 1)
+    positions = cursor.u32s(position_count)
+    if not cursor.at_end():
+        raise IndexFormatError("trailing data after index body")
+
+    keys = list(zip(dates, doc_ids))
+    if not _ascending(keys):
+        raise IndexFormatError("documents are not in (date, id) order")
+    if len(set(doc_ids)) != doc_count:
+        raise IndexFormatError("duplicate document id")
+    if dates and not _MIN_ORDINAL <= dates[0] <= dates[-1] <= _MAX_ORDINAL:
+        raise IndexFormatError("document date out of range")
+    if not _ascending(tokens):
+        raise IndexFormatError("tokens are not in ascending order")
+    if not all(counts) or sum(counts) != posting_count:
+        raise IndexFormatError("token posting counts do not add up")
+    starts = list(accumulate(counts, initial=0))
+    if not _ascending_in_groups(docs, starts[1:-1]):
+        raise IndexFormatError("a token's document ids do not ascend")
+    # Each token's last doc id is its largest.
+    if posting_count and max(map(docs.__getitem__, [e - 1 for e in starts[1:]])) >= doc_count:
+        raise IndexFormatError("posting references an unknown document")
+    if offsets[0] != 0 or offsets[-1] != position_count:
+        raise IndexFormatError("position offsets do not cover the positions")
+    if not _ascending(offsets):
+        raise IndexFormatError("position offsets do not ascend")
+    if not _ascending_in_groups(positions, islice(offsets, 1, posting_count)):
+        raise IndexFormatError("positions do not increase within a document")
+
+    spans = dict(zip(tokens, zip(starts, islice(starts, 1, None))))
     built_at = datetime.fromtimestamp(built_ts, tz=timezone.utc)
-    return PostingsIndex(doc_ids, date_ordinals, postings, corpus_name, built_at)
+    return PostingsIndex(doc_ids, dates, spans, docs, offsets, positions, corpus_name, built_at)

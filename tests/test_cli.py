@@ -122,6 +122,26 @@ class TestCountCommand:
         assert float(p_line.split()[1]) == pytest.approx(0.05)
         assert "co_occurrence_ratio: 1.0" in out
 
+    def test_pair_with_absent_term_reports_undefined_ratio(self, six_index_file, capsys):
+        code = main(
+            ["count", "--index", str(six_index_file), "--to", "2017-12-31", "zebra", "stem cell"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert 'count["zebra"]: 0' in captured.out
+        assert "co_occurrence_ratio: undefined (term matches no documents)" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("phrases", [["!!!"], ["alpha", "!!!"], ["()", "stem cell"]])
+    def test_tokenless_phrase_is_usage_error_with_no_output(
+        self, six_index_file, capsys, phrases
+    ):
+        code = main(["count", "--index", str(six_index_file), "--", *phrases])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "no indexable tokens" in captured.err
+
     def test_reversed_range_is_usage_error(self, six_index_file, capsys):
         code = main(
             [

@@ -58,6 +58,15 @@ class TestBuildIndex:
         with pytest.raises(IngestionError, match="d1"):
             build_index(docs)
 
+    def test_duplicate_id_on_two_dates_rejected(self):
+        docs = [
+            Document("d1", "one", date(2000, 1, 1)),
+            Document("d2", "two", date(2000, 6, 1)),
+            Document("d1", "three", date(2001, 1, 1)),
+        ]
+        with pytest.raises(IngestionError, match="d1"):
+            build_index(docs)
+
     def test_empty_id_rejected(self):
         with pytest.raises(IngestionError):
             build_index([Document("", "text", date(2000, 1, 1))])

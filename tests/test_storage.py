@@ -1,7 +1,8 @@
 import json
 import random
 import struct
-from datetime import date, timedelta
+from array import array
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,27 @@ from litminer import (
     read_corpus,
     save_index,
 )
-from litminer.storage import parse_corpus_line, write_atomically
+from litminer.index import U32
+from litminer.storage import INDEX_MAGIC, parse_corpus_line, write_atomically
+from litminer.tokenizer import TOKENIZER_VERSION
+from conftest import SIX_DOCS
+
+
+ORDINAL = date(2001, 1, 1).toordinal()
+
+
+def make_index(doc_ids, dates, spans, docs, offsets, positions):
+    """A PostingsIndex from plain lists, with no check of its invariants."""
+    return PostingsIndex(
+        doc_ids,
+        array(U32, dates),
+        spans,
+        array(U32, docs),
+        array(U32, offsets),
+        array(U32, positions),
+        "crafted",
+        datetime(2020, 1, 1, tzinfo=timezone.utc),
+    )
 
 
 def line_for(doc_id="d1", pub="2001-03-10", text="alpha beta"):
@@ -130,13 +151,10 @@ class TestRoundTrip:
     ):
         path = tmp_path / "six.idx"
         save_index(six_index, path)
-        # A negative position cannot be packed as u32, so the write fails
-        # after the header and doc table are already in the temp file.
-        broken = PostingsIndex(
-            ["d1"], [date(2001, 1, 1).toordinal()], {"alpha": {0: (-1,)}}, "broken",
-            six_index.built_at,
-        )
-        with pytest.raises(struct.error):
+        # A lone surrogate cannot be encoded as UTF-8, so the write fails
+        # after the temp file has been created.
+        broken = make_index(["\ud800"], [ORDINAL], {}, [], [0], [])
+        with pytest.raises(UnicodeEncodeError):
             save_index(broken, path)
         assert [p.name for p in tmp_path.iterdir()] == ["six.idx"]
         assert queries(load_index(path), full_range) == queries(six_index, full_range)
@@ -212,6 +230,19 @@ class TestLoadRejections:
         with pytest.raises(IndexFormatError, match="tokenizer version 7"):
             load_index(saved)
 
+    def test_format_version_1_is_refused(self, tmp_path):
+        # An empty index as format version 1 wrote it: header, doc count,
+        # corpus name, build time, token count.
+        path = tmp_path / "v1.idx"
+        path.write_bytes(
+            INDEX_MAGIC
+            + struct.pack("<HHI", 1, TOKENIZER_VERSION, 0)
+            + struct.pack("<QI", 0, 0)
+            + struct.pack("<QI", 1577836800, 0)
+        )
+        with pytest.raises(IndexFormatError, match="format version 1 .*rebuild the index"):
+            load_index(path)
+
     def test_truncated_file(self, saved):
         data = saved.read_bytes()
         saved.write_bytes(data[: len(data) // 2])
@@ -226,3 +257,100 @@ class TestLoadRejections:
     def test_not_a_file(self, tmp_path):
         with pytest.raises(OSError):
             load_index(tmp_path / "missing.idx")
+
+
+@pytest.fixture(scope="module")
+def six_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("six") / "six.idx"
+    save_index(build_index(SIX_DOCS, corpus_name="six"), path)
+    return path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_file_never_loads(six_bytes, tmp_path_factory, data):
+    """Any flipped byte or any truncation ends in IndexFormatError, never in a count."""
+    damaged = bytearray(six_bytes)
+    if data.draw(st.booleans(), label="truncate"):
+        del damaged[data.draw(st.integers(0, len(six_bytes) - 1), label="length") :]
+    else:
+        offset = data.draw(st.integers(0, len(six_bytes) - 1), label="offset")
+        damaged[offset] ^= data.draw(st.integers(1, 255), label="flip")
+    path = tmp_path_factory.mktemp("damaged") / "six.idx"
+    path.write_bytes(bytes(damaged))
+    with pytest.raises(IndexFormatError):
+        load_index(path)
+
+
+# Each index breaks one invariant and is saved with a valid CRC32, as a
+# faulty writer would leave it.
+D1, D2 = ORDINAL, ORDINAL + 1
+BROKEN_INDEXES = {
+    "documents not in date order": (
+        (["a", "b"], [D2, D1], {"x": (0, 1)}, [0], [0, 1], [0]), "date, id"
+    ),
+    "ids not ascending within a date": (
+        (["b", "a"], [D1, D1], {"x": (0, 1)}, [0], [0, 1], [0]), "date, id"
+    ),
+    "duplicate id": ((["a", "a"], [D1, D2], {"x": (0, 1)}, [0], [0, 1], [0]), "duplicate"),
+    "tokens not ascending": (
+        (["a"], [D1], {"y": (0, 1), "x": (1, 2)}, [0, 0], [0, 1, 2], [0, 1]), "tokens"
+    ),
+    "empty posting list": (
+        (["a"], [D1], {"x": (0, 0), "y": (0, 1)}, [0], [0, 1], [0]), "posting counts"
+    ),
+    "postings not covered by tokens": ((["a"], [D1], {}, [0], [0, 1], [0]), "posting counts"),
+    "doc id out of range": (
+        (["a", "b"], [D1, D2], {"x": (0, 2)}, [0, 2], [0, 1, 2], [0, 0]), "unknown document"
+    ),
+    "doc ids not ascending": (
+        (["a", "b"], [D1, D2], {"x": (0, 2)}, [1, 0], [0, 1, 2], [0, 0]), "do not ascend"
+    ),
+    "doc id repeated": (
+        (["a", "b"], [D1, D2], {"x": (0, 2)}, [1, 1], [0, 1, 2], [0, 0]), "do not ascend"
+    ),
+    "offsets do not start at zero": (
+        (["a"], [D1], {"x": (0, 1)}, [0], [1, 2], [0, 1]), "offsets"
+    ),
+    "offsets do not reach the end": (
+        (["a"], [D1], {"x": (0, 1)}, [0], [0, 1], [0, 1]), "offsets"
+    ),
+    "empty position list": (
+        (["a", "b"], [D1, D2], {"x": (0, 2)}, [0, 1], [0, 0, 1], [4]), "offsets do not ascend"
+    ),
+    "positions not increasing": (
+        (["a"], [D1], {"x": (0, 1)}, [0], [0, 2], [3, 1]), "positions"
+    ),
+    "position repeated": ((["a"], [D1], {"x": (0, 1)}, [0], [0, 2], [3, 3]), "positions"),
+    "positions fall inside the second of two postings": (
+        (["a", "b"], [D1, D2], {"x": (0, 2)}, [0, 1], [0, 1, 3], [5, 4, 2]), "positions"
+    ),
+    "date ordinal zero": ((["a"], [0], {"x": (0, 1)}, [0], [0, 1], [0]), "date out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_INDEXES))
+def test_structurally_broken_index_is_refused(case, tmp_path):
+    fields, message = BROKEN_INDEXES[case]
+    broken = make_index(*fields)
+    with pytest.raises(AssertionError):
+        broken.verify_invariants()
+    path = tmp_path / "broken.idx"
+    save_index(broken, path)
+    with pytest.raises(IndexFormatError, match=message):
+        load_index(path)
+
+
+def test_values_may_fall_between_groups(tmp_path):
+    """Doc ids restart at each token and positions at each posting."""
+    index = make_index(
+        ["a", "b"], [D1, D2], {"x": (0, 2), "y": (2, 3)}, [0, 1, 0], [0, 2, 3, 4], [3, 7, 1, 2]
+    )
+    index.verify_invariants()
+    path = tmp_path / "ok.idx"
+    save_index(index, path)
+    loaded = load_index(path)
+    loaded.verify_invariants()
+    everything = DateRange(date(1900, 1, 1), date(2100, 1, 1))
+    assert loaded.count_with(TokenizedPhrase(("x",)), everything) == 2
+    assert loaded.count_with(TokenizedPhrase(("y", "x")), everything) == 1
