@@ -9,7 +9,14 @@ positional inverted index or from a remote literature search API.
 
 __version__ = "0.1.0"
 
-from .index import DateRange, Document, IngestionError, PostingsIndex, build_index
+from .index import (
+    DateRange,
+    Document,
+    IndexFormatError,
+    IngestionError,
+    PostingsIndex,
+    build_index,
+)
 from .mining import (
     DEFAULT_P_THRESHOLD,
     ConfigError,
@@ -44,13 +51,7 @@ from .epmc import (
     TransportError,
     build_query,
 )
-from .storage import (
-    CorpusFormatError,
-    IndexFormatError,
-    load_index,
-    read_corpus,
-    save_index,
-)
+from .storage import CorpusFormatError, load_index, read_corpus, save_index
 from .tokenizer import (
     TOKENIZER_VERSION,
     InvalidPhraseError,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -156,19 +157,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="tsv",
         help="results format: tsv (default) or structured JSON",
     )
-    p_mine.add_argument(
-        "--parallelism", type=int, default=1, metavar="N", help="concurrent term queries"
-    )
     p_mine.set_defaults(func=cmd_mine)
 
     return parser
 
 
 def _client_config(args: argparse.Namespace) -> ClientConfig:
-    config = ClientConfig()
-    if args.client_config:
-        config = ClientConfig.from_file(args.client_config, base=config)
-    config = config.with_env_overrides()
+    """Defaults, then the config file, the environment and the flags.
+
+    A file that cannot be read or a setting of the wrong type or range is a
+    usage error.
+    """
     updates: dict[str, object] = {}
     if args.endpoint:
         updates["endpoint"] = args.endpoint
@@ -176,15 +175,21 @@ def _client_config(args: argparse.Namespace) -> ClientConfig:
         updates["cache_path"] = args.cache
     if args.no_cache:
         updates["bypass_cache"] = True
-    if updates:
-        from dataclasses import replace
-
-        config = replace(config, **updates)
-    return config
+    try:
+        config = ClientConfig()
+        if args.client_config:
+            config = ClientConfig.from_file(args.client_config, base=config)
+        return replace(config.with_env_overrides(), **updates)
+    except (OSError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _resolve_provider(args: argparse.Namespace):
-    """Returns (provider, identity dict for the manifest)."""
+    """Returns (provider, identity dict for the manifest, worker count for mining).
+
+    Local counting is pure Python under one interpreter lock, so it gets
+    one worker; the remote backend gets one per request slot.
+    """
     kind = args.provider
     if kind is None:
         if args.index and args.endpoint:
@@ -195,6 +200,14 @@ def _resolve_provider(args: argparse.Namespace):
     if kind == "local":
         if not args.index:
             raise UsageError("--provider local requires --index PATH")
+        for flag, given in (
+            ("--endpoint", args.endpoint),
+            ("--client-config", args.client_config),
+            ("--cache", args.cache),
+            ("--no-cache", args.no_cache),
+        ):
+            if given:
+                raise UsageError(f"{flag} applies only to the remote backend")
         index = load_index(args.index)
         identity = {
             "kind": "local",
@@ -203,7 +216,7 @@ def _resolve_provider(args: argparse.Namespace):
             "doc_count": index.doc_count,
             "built_at": index.built_at.isoformat(),
         }
-        return IndexCountProvider(index), identity
+        return IndexCountProvider(index), identity, 1
     if args.index:
         raise UsageError("--index conflicts with --provider remote")
     config = _client_config(args)
@@ -214,7 +227,7 @@ def _resolve_provider(args: argparse.Namespace):
         "cache": config.cache_path,
         "bypass_cache": config.bypass_cache,
     }
-    return EpmcCountProvider(client), identity
+    return EpmcCountProvider(client), identity, config.max_in_flight
 
 
 def cmd_index(args: argparse.Namespace) -> int:
@@ -240,7 +253,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         if not normalize_tokenize(phrase):
             raise UsageError(f"phrase {phrase!r} contains no indexable tokens")
     date_range = _date_range(args)
-    provider, _identity = _resolve_provider(args)
+    provider, _identity, _workers = _resolve_provider(args)
     article_total = provider.article_total(date_range)
     print(f"date_range: {date_range}")
     print(f"article_total: {article_total}")
@@ -283,7 +296,7 @@ def _read_terms(path: str) -> list[str]:
 def cmd_mine(args: argparse.Namespace) -> int:
     date_range = _date_range(args)
     terms = _read_terms(args.terms)
-    provider, identity = _resolve_provider(args)
+    provider, identity, parallelism = _resolve_provider(args)
     config = MinerConfig(
         key_phrase=args.key_phrase,
         target_terms=tuple(terms),
@@ -292,7 +305,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         ranking_mode=RankingMode(args.ranking_mode),
     )
     started_at = datetime.now(timezone.utc)
-    run = run_mining(provider, config, parallelism=args.parallelism)
+    run = run_mining(provider, config, parallelism=parallelism)
     finished_at = datetime.now(timezone.utc)
 
     out_path = Path(args.output)
@@ -317,7 +330,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
             "from": date_range.start.isoformat(),
             "to": date_range.end.isoformat(),
         },
-        "parallelism": args.parallelism,
+        "parallelism": parallelism,
         "format": args.format,
         "output": str(out_path),
         "article_total": run.article_total,

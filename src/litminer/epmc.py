@@ -15,10 +15,11 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import requests
 
@@ -169,9 +170,64 @@ class RateLimiter:
         self._slots.release()
 
 
+def _str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _optional_str(value: Any) -> bool:
+    return value is None or isinstance(value, str)
+
+
+def _number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _str_mapping(value: Any) -> bool:
+    return isinstance(value, Mapping) and all(map(_str, chain.from_iterable(value.items())))
+
+
+# What each ClientConfig setting must hold: a test, and its wording in errors.
+_SETTING_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "endpoint": (_str, "a string"),
+    "count_field": (_str, "a string"),
+    "count_params": (_str_mapping, "an object of string values"),
+    "api_key": (_optional_str, "a string or null"),
+    "api_key_param": (_str, "a string"),
+    "requests_per_second": (lambda v: _number(v) and v > 0, "a number > 0"),
+    "max_in_flight": (_positive_int, "an integer >= 1"),
+    "max_attempts": (_positive_int, "an integer >= 1"),
+    "backoff_base": (lambda v: _number(v) and v >= 0, "a number >= 0"),
+    "backoff_cap": (lambda v: _number(v) and v >= 0, "a number >= 0"),
+    "timeout": (lambda v: _number(v) and v > 0, "a number > 0"),
+    "cache_path": (_optional_str, "a string or null"),
+    "bypass_cache": (lambda v: isinstance(v, bool), "true or false"),
+    "source_label": (_str, "a string"),
+}
+
+# LITMINER_<suffix> -> (setting, parser of the variable's text)
+_ENV_SETTINGS: dict[str, tuple[str, Callable[[str], Any]]] = {
+    "ENDPOINT": ("endpoint", str),
+    "COUNT_FIELD": ("count_field", str),
+    "API_KEY": ("api_key", str),
+    "CACHE": ("cache_path", str),
+    "RATE_LIMIT": ("requests_per_second", float),
+    "MAX_IN_FLIGHT": ("max_in_flight", int),
+    "RETRY_ATTEMPTS": ("max_attempts", int),
+    "TIMEOUT": ("timeout", float),
+}
+
+
 @dataclass(frozen=True)
 class ClientConfig:
-    """Remote backend settings; see README for the config file keys."""
+    """Remote backend settings; see README for the config file keys.
+
+    Every setting's type and range is checked on construction, so a bad
+    value fails with a ``ValueError`` naming it before any request is made.
+    """
 
     endpoint: str = DEFAULT_ENDPOINT
     count_field: str = DEFAULT_COUNT_FIELD
@@ -188,62 +244,47 @@ class ClientConfig:
     bypass_cache: bool = False
     source_label: str = "europepmc"
 
-    _FILE_KEYS = (
-        "endpoint",
-        "count_field",
-        "count_params",
-        "api_key",
-        "api_key_param",
-        "requests_per_second",
-        "max_in_flight",
-        "max_attempts",
-        "backoff_base",
-        "backoff_cap",
-        "timeout",
-        "cache_path",
-        "source_label",
-    )
+    def __post_init__(self) -> None:
+        for name, (valid, expected) in _SETTING_RULES.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ValueError(f"client setting {name!r} must be {expected}, got {value!r}")
 
     @classmethod
     def from_file(cls, path: str | Path, base: "ClientConfig | None" = None) -> "ClientConfig":
-        """Read a JSON config file on top of ``base`` (or the defaults)."""
+        """Read a JSON config file on top of ``base`` (or the defaults).
+
+        The file may set every field except ``bypass_cache``, which only
+        the command line sets.
+        """
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: client config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(f"{path}: client config must be a JSON object")
-        unknown = sorted(set(data) - set(cls._FILE_KEYS))
+        accepted = {f.name for f in fields(cls)} - {"bypass_cache"}
+        unknown = sorted(set(data) - accepted)
         if unknown:
             raise ValueError(f"{path}: unknown client config keys: {unknown}")
-        return replace(base or cls(), **data)
+        try:
+            return replace(base or cls(), **data)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def with_env_overrides(self, env: Mapping[str, str] | None = None) -> "ClientConfig":
         """Apply LITMINER_* environment variables on top of this config."""
         env = os.environ if env is None else env
-        updates: dict[str, Any] = {}
-        plain = {
-            "ENDPOINT": "endpoint",
-            "COUNT_FIELD": "count_field",
-            "API_KEY": "api_key",
-            "CACHE": "cache_path",
-        }
-        numeric = {
-            "RATE_LIMIT": ("requests_per_second", float),
-            "MAX_IN_FLIGHT": ("max_in_flight", int),
-            "RETRY_ATTEMPTS": ("max_attempts", int),
-            "TIMEOUT": ("timeout", float),
-        }
-        for suffix, attr in plain.items():
-            value = env.get(_ENV_PREFIX + suffix)
-            if value is not None:
-                updates[attr] = value
-        for suffix, (attr, cast) in numeric.items():
+        config = self
+        for suffix, (name, parse) in _ENV_SETTINGS.items():
             value = env.get(_ENV_PREFIX + suffix)
             if value is not None:
                 try:
-                    updates[attr] = cast(value)
+                    config = replace(config, **{name: parse(value)})
                 except ValueError as exc:
                     raise ValueError(f"{_ENV_PREFIX}{suffix}={value!r}: {exc}") from exc
-        return replace(self, **updates) if updates else self
+        return config
 
 
 class EpmcCountClient:

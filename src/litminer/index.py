@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import and_, lshift, sub
+from operator import and_, itemgetter, lshift, lt, sub
 from typing import Iterable, Sequence
 
 from .tokenizer import TokenizedPhrase, normalize_tokenize
@@ -15,10 +15,16 @@ from .tokenizer import TokenizedPhrase, normalize_tokenize
 # Typecode of the arrays that hold dates, doc ids, offsets and positions:
 # unsigned 32-bit on every platform CPython supports, little-endian on disk.
 U32 = "I"
+_MIN_ORDINAL = date.min.toordinal()
+_MAX_ORDINAL = date.max.toordinal()
 
 
 class IngestionError(ValueError):
     """Raised when a document stream cannot be indexed."""
+
+
+class IndexFormatError(ValueError):
+    """An index this build cannot use: another format, or a damaged structure."""
 
 
 @dataclass(frozen=True)
@@ -215,29 +221,62 @@ class PostingsIndex:
             self._masks[token] = masks
         return masks
 
-    def verify_invariants(self) -> None:
-        """Structural self-check used by tests; raises AssertionError on damage."""
-        n = self.doc_count
-        assert len(self._dates) == n
-        keys = list(zip(self._dates, self._doc_ids))
-        assert all(a < b for a, b in zip(keys, keys[1:])), "documents not in (date, doc_id) order"
-        assert len(set(self._doc_ids)) == n, "duplicate doc_id"
-        assert all(date.min.toordinal() <= d <= date.max.toordinal() for d in self._dates)
-        assert list(self._spans) == sorted(self._spans)
-        assert len(self._offsets) == len(self._docs) + 1
-        assert self._offsets[0] == 0 and self._offsets[-1] == len(self._positions)
-        start = 0
-        for token, (s, e) in self._spans.items():
-            assert s == start < e, f"postings for {token!r} are empty or out of place"
-            start = e
-            docs = self._docs[s:e]
-            assert all(a < b for a, b in zip(docs, docs[1:])), f"postings for {token!r} not sorted"
-            assert docs[-1] < n
-        assert start == len(self._docs)
-        for j in range(len(self._docs)):
-            positions = self._positions[self._offsets[j] : self._offsets[j + 1]]
-            assert positions, f"empty position list in posting {j}"
-            assert all(a < b for a, b in zip(positions, positions[1:]))
+    def check(self) -> None:
+        """Raise :class:`IndexFormatError` unless the arrays keep the orders above.
+
+        Each pass over an array runs in C (``map``/``islice``), not bytecode.
+        """
+        doc_ids, dates = self._doc_ids, self._dates
+        docs, offsets, positions = self._docs, self._offsets, self._positions
+        doc_count = len(doc_ids)
+        if len(dates) != doc_count or len(offsets) != len(docs) + 1:
+            raise IndexFormatError("index arrays have mismatched lengths")
+        if not _ascending(list(zip(dates, doc_ids))):
+            raise IndexFormatError("documents are not in (date, id) order")
+        if len(set(doc_ids)) != doc_count:
+            raise IndexFormatError("duplicate document id")
+        if dates and not _MIN_ORDINAL <= dates[0] <= dates[-1] <= _MAX_ORDINAL:
+            raise IndexFormatError("document date out of range")
+        if not _ascending(list(self._spans)):
+            raise IndexFormatError("tokens are not in ascending order")
+        # Each token's postings start where the previous token's end.
+        spans = self._spans.values()
+        bounds = [0, *map(itemgetter(1), spans)]
+        if (
+            list(map(itemgetter(0), spans)) != bounds[:-1]
+            or bounds[-1] != len(docs)
+            or not _ascending(bounds)
+        ):
+            raise IndexFormatError("token posting counts do not add up")
+        if not _ascending_in_groups(docs, bounds[1:-1]):
+            raise IndexFormatError("a token's document ids do not ascend")
+        # Each token's last doc id is its largest.
+        if docs and max(map(docs.__getitem__, [e - 1 for e in bounds[1:]])) >= doc_count:
+            raise IndexFormatError("posting references an unknown document")
+        if offsets[0] != 0 or offsets[-1] != len(positions):
+            raise IndexFormatError("position offsets do not cover the positions")
+        if not _ascending(offsets):
+            raise IndexFormatError("position offsets do not ascend")
+        if not _ascending_in_groups(positions, islice(offsets, 1, len(docs))):
+            raise IndexFormatError("positions do not increase within a document")
+
+
+def _ascending(values: Sequence) -> bool:
+    return all(map(lt, values, islice(values, 1, None)))
+
+
+def _ascending_in_groups(values: array, starts: Iterable[int]) -> bool:
+    """True when ``values`` strictly ascends within each group.
+
+    Groups are consecutive; ``starts`` holds the index at which each group
+    after the first begins.  A value may fall only where a group begins.
+    """
+    rises = list(map(lt, values, islice(values, 1, None)))
+    falls = rises.count(False)
+    if not falls:
+        return True
+    rises.insert(0, True)  # rises[s] now compares values[s - 1] with values[s]
+    return list(map(rises.__getitem__, starts)).count(False) == falls
 
 
 def build_index(

@@ -28,7 +28,8 @@ Internal doc ids number the documents in (date, doc id) order.  Loading
 refuses files whose format or tokenizer version does not match this build,
 since either mismatch silently changes query semantics, any file whose
 CRC32 does not match its body, and any body whose structure breaks these
-orders and bounds, so a damaged index fails loudly instead of counting.
+orders and bounds (``PostingsIndex.check``), so a damaged index fails
+loudly instead of counting.
 """
 
 from __future__ import annotations
@@ -44,18 +45,15 @@ import zlib
 from array import array
 from datetime import date, datetime, timezone
 from itertools import accumulate, islice
-from operator import lt
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
-from .index import U32, Document, PostingsIndex
+from .index import U32, Document, IndexFormatError, PostingsIndex
 from .tokenizer import TOKENIZER_VERSION
 
 INDEX_MAGIC = b"LITMIDX\x00"
 INDEX_FORMAT_VERSION = 2
 _HEADER = struct.Struct("<8sHHI")
-_MIN_ORDINAL = date.min.toordinal()
-_MAX_ORDINAL = date.max.toordinal()
 
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
 
@@ -66,10 +64,6 @@ class CorpusFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
-
-
-class IndexFormatError(ValueError):
-    """An index file this build cannot load."""
 
 
 def parse_corpus_line(line: str, line_no: int) -> Document:
@@ -210,24 +204,6 @@ class _Cursor:
         return self._at == len(self._body)
 
 
-def _ascending(values: Sequence) -> bool:
-    return all(map(lt, values, islice(values, 1, None)))
-
-
-def _ascending_in_groups(values: array, starts: Iterable[int]) -> bool:
-    """True when ``values`` strictly ascends within each group.
-
-    Groups are consecutive; ``starts`` holds the index at which each group
-    after the first begins.  A value may fall only where a group begins.
-    """
-    rises = list(map(lt, values, islice(values, 1, None)))
-    falls = rises.count(False)
-    if not falls:
-        return True
-    rises.insert(0, True)  # rises[s] now compares values[s - 1] with values[s]
-    return list(map(rises.__getitem__, starts)).count(False) == falls
-
-
 def load_index(path: str | Path) -> PostingsIndex:
     """Load an index written by :func:`save_index`.
 
@@ -259,9 +235,11 @@ def load_index(path: str | Path) -> PostingsIndex:
             f"{path}: index file is truncated or damaged (CRC32 mismatch); rebuild the index"
         )
     try:
-        return _parse_body(_Cursor(body))
+        index = _parse_body(_Cursor(body))
+        index.check()
     except IndexFormatError as exc:
         raise IndexFormatError(f"{path}: {exc}") from None
+    return index
 
 
 def _parse_body(cursor: _Cursor) -> PostingsIndex:
@@ -279,30 +257,7 @@ def _parse_body(cursor: _Cursor) -> PostingsIndex:
     if not cursor.at_end():
         raise IndexFormatError("trailing data after index body")
 
-    keys = list(zip(dates, doc_ids))
-    if not _ascending(keys):
-        raise IndexFormatError("documents are not in (date, id) order")
-    if len(set(doc_ids)) != doc_count:
-        raise IndexFormatError("duplicate document id")
-    if dates and not _MIN_ORDINAL <= dates[0] <= dates[-1] <= _MAX_ORDINAL:
-        raise IndexFormatError("document date out of range")
-    if not _ascending(tokens):
-        raise IndexFormatError("tokens are not in ascending order")
-    if not all(counts) or sum(counts) != posting_count:
-        raise IndexFormatError("token posting counts do not add up")
     starts = list(accumulate(counts, initial=0))
-    if not _ascending_in_groups(docs, starts[1:-1]):
-        raise IndexFormatError("a token's document ids do not ascend")
-    # Each token's last doc id is its largest.
-    if posting_count and max(map(docs.__getitem__, [e - 1 for e in starts[1:]])) >= doc_count:
-        raise IndexFormatError("posting references an unknown document")
-    if offsets[0] != 0 or offsets[-1] != position_count:
-        raise IndexFormatError("position offsets do not cover the positions")
-    if not _ascending(offsets):
-        raise IndexFormatError("position offsets do not ascend")
-    if not _ascending_in_groups(positions, islice(offsets, 1, posting_count)):
-        raise IndexFormatError("positions do not increase within a document")
-
     spans = dict(zip(tokens, zip(starts, islice(starts, 1, None))))
     built_at = datetime.fromtimestamp(built_ts, tz=timezone.utc)
     return PostingsIndex(doc_ids, dates, spans, docs, offsets, positions, corpus_name, built_at)

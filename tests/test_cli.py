@@ -174,6 +174,78 @@ class TestCountCommand:
     def test_bad_date_is_usage_error(self, six_index_file):
         assert main(["count", "--index", str(six_index_file), "--to", "2004-1-1", "a"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--endpoint", "http://127.0.0.1:9/search"],
+            ["--client-config", "client.json"],
+            ["--cache", "counts.jsonl"],
+            ["--no-cache"],
+        ],
+    )
+    def test_remote_only_flags_rejected_with_local_backend(
+        self, six_index_file, tmp_path, capsys, monkeypatch, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "client.json").write_text("{}", encoding="utf-8")
+        code = main(
+            ["count", "--provider", "local", "--index", str(six_index_file), *flags, "alpha"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{flags[0]} applies only to the remote backend" in captured.err
+        assert not (tmp_path / "counts.jsonl").exists()
+
+
+class TestClientConfigErrors:
+    """A bad remote client setting exits 2 and names the setting, before any request."""
+
+    @pytest.mark.parametrize(
+        "config_text, env, named",
+        [
+            pytest.param('{"endpoiint": "x"}', {}, "endpoiint", id="unknown key"),
+            pytest.param('{"bypass_cache": true}', {}, "bypass_cache", id="flag-only key"),
+            pytest.param('{"max_in_flight": "2"}', {}, "max_in_flight", id="string count"),
+            pytest.param('{"count_params": "x"}', {}, "count_params", id="string params"),
+            pytest.param(
+                '{"timeout": ', {}, "client.json: client config is not valid JSON", id="bad JSON"
+            ),
+            pytest.param('{"timeout": -1}', {}, "timeout", id="negative timeout"),
+            pytest.param(
+                None, {"LITMINER_RATE_LIMIT": "fast"}, "LITMINER_RATE_LIMIT", id="env not a number"
+            ),
+            pytest.param(
+                None, {"LITMINER_MAX_IN_FLIGHT": "0"}, "LITMINER_MAX_IN_FLIGHT", id="env out of range"
+            ),
+        ],
+    )
+    def test_bad_setting_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, config_text, env, named
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        args = ["count", "--provider", "remote", "--endpoint", "http://127.0.0.1:9/search"]
+        if config_text is not None:
+            path = tmp_path / "client.json"
+            path.write_text(config_text, encoding="utf-8")
+            args += ["--client-config", str(path)]
+        code = main([*args, "alpha"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "usage error" in captured.err
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        code = main(
+            ["count", "--provider", "remote", "--client-config", str(missing), "alpha"]
+        )
+        assert code == 2
+        assert "absent.json" in capsys.readouterr().err
+
 
 class TestMineCommand:
     def test_local_run_end_to_end(self, six_index_file, terms_file, tmp_path, capsys):
@@ -221,12 +293,15 @@ class TestMineCommand:
         results = parse_results_json(out_path.read_text(encoding="utf-8"))
         assert [r.term for r in results] == ["alpha"]
 
-    def test_parallelism_matches_serial(self, six_index_file, terms_file, tmp_path):
-        serial = tmp_path / "serial.tsv"
-        parallel = tmp_path / "parallel.tsv"
-        assert mine_local(six_index_file, terms_file, serial) == 0
-        assert mine_local(six_index_file, terms_file, parallel, "--parallelism", "4") == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+    def test_local_run_uses_one_worker(self, six_index_file, terms_file, tmp_path):
+        assert mine_local(six_index_file, terms_file, tmp_path / "r.tsv") == 0
+        manifest = json.loads((tmp_path / "r.tsv.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["parallelism"] == 1
+
+    def test_parallelism_flag_is_gone(self, six_index_file, terms_file, tmp_path, capsys):
+        code = mine_local(six_index_file, terms_file, tmp_path / "r.tsv", "--parallelism", "4")
+        assert code == 2
+        assert "--parallelism" in capsys.readouterr().err
 
     def test_absent_key_phrase_is_a_clean_empty_run(
         self, six_index_file, terms_file, tmp_path, capsys
@@ -344,14 +419,14 @@ class TestMineRemote:
         '"alpha" AND "stem cell" AND (FIRST_PDATE:[1900-01-01 TO 2004-12-31])': 15,
     }
 
-    def run_mine(self, server, tmp_path, out_name, *extra):
+    def run_mine(self, server, tmp_path, out_name, *extra, terms=("alpha",), **settings):
         client_config = tmp_path / "client.json"
         client_config.write_text(
-            json.dumps({"requests_per_second": 10000, "backoff_base": 0.001}),
+            json.dumps({"requests_per_second": 10000, "backoff_base": 0.001, **settings}),
             encoding="utf-8",
         )
-        terms = tmp_path / "terms.txt"
-        terms.write_text("alpha\n", encoding="utf-8")
+        terms_path = tmp_path / "terms.txt"
+        terms_path.write_text("".join(f"{term}\n" for term in terms), encoding="utf-8")
         out_path = tmp_path / out_name
         code = main(
             [
@@ -365,7 +440,7 @@ class TestMineRemote:
                 "--key-phrase",
                 "stem cell",
                 "--terms",
-                str(terms),
+                str(terms_path),
                 "--from",
                 "1900-01-01",
                 "--to",
@@ -400,6 +475,37 @@ class TestMineRemote:
             code, _ = self.run_mine(server, tmp_path, "third.tsv", "--no-cache")
             assert code == 0
             assert server.request_count == baseline + 4
+
+    def test_worker_count_follows_max_in_flight(self, tmp_path):
+        window = "(FIRST_PDATE:[1900-01-01 TO 2004-12-31])"
+        responses = dict(self.RESPONSES)
+        for term, count, both in [("beta", 30, 12), ("gamma", 10, 9), ("delta", 40, 5)]:
+            responses[f'"{term}" AND {window}'] = count
+            responses[f'"{term}" AND "stem cell" AND {window}'] = both
+        terms = ("alpha", "beta", "gamma", "delta", "epsilon")
+        outputs = {}
+        with CountingStubServer(responses=responses) as server:
+            for slots in (1, 3):
+                code, out_path = self.run_mine(
+                    server, tmp_path, f"r{slots}.tsv", "--no-cache", terms=terms,
+                    max_in_flight=slots,
+                )
+                assert code == 0
+                manifest = json.loads(
+                    (tmp_path / f"r{slots}.tsv.manifest.json").read_text(encoding="utf-8")
+                )
+                assert manifest["parallelism"] == slots
+                report = tmp_path / f"r{slots}.tsv.report.json"
+                outputs[slots] = (out_path.read_bytes(), report.read_bytes())
+            # Each run asks for the total, the key phrase, every term, and
+            # the pair of every term but epsilon, which matches nothing.
+            assert server.request_count == 2 * (2 + len(terms) + len(terms) - 1)
+        assert [r.term for r in parse_results_tsv(outputs[1][0].decode("utf-8"))] == [
+            "gamma",
+            "alpha",
+            "beta",
+        ]
+        assert outputs[1] == outputs[3]
 
     def test_manifest_records_remote_provider(self, tmp_path):
         with CountingStubServer(responses=self.RESPONSES) as server:

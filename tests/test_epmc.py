@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 import time
@@ -365,6 +366,58 @@ class TestClientConfig:
         path.write_text(json.dumps({"endpoiint": "x"}), encoding="utf-8")
         with pytest.raises(ValueError, match="endpoiint"):
             ClientConfig.from_file(path)
+
+    def test_file_sets_every_field_but_bypass_cache(self, tmp_path):
+        settings = {
+            "endpoint": "http://example.test/s",
+            "count_field": "a.b",
+            "count_params": {"format": "json"},
+            "api_key": "k",
+            "api_key_param": "key",
+            "requests_per_second": 2,
+            "max_in_flight": 3,
+            "max_attempts": 4,
+            "backoff_base": 0.25,
+            "backoff_cap": 9,
+            "timeout": 1.5,
+            "cache_path": "c.jsonl",
+            "source_label": "test",
+        }
+        assert set(settings) == {f.name for f in dataclasses.fields(ClientConfig)} - {
+            "bypass_cache"
+        }
+        path = tmp_path / "client.json"
+        path.write_text(json.dumps(settings), encoding="utf-8")
+        config = ClientConfig.from_file(path)
+        assert {name: getattr(config, name) for name in settings} == settings
+        for refused in ("bypass_cache", "no_such_key"):
+            path.write_text(json.dumps({refused: True}), encoding="utf-8")
+            with pytest.raises(ValueError, match=refused):
+                ClientConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("endpoint", None),
+            ("count_params", {"pageSize": 0}),
+            ("count_params", ["format", "json"]),
+            ("api_key", 7),
+            ("requests_per_second", 0),
+            ("requests_per_second", float("nan")),
+            ("max_in_flight", 2.0),
+            ("max_in_flight", True),
+            ("max_attempts", 0),
+            ("backoff_base", -0.1),
+            ("backoff_cap", "1"),
+            ("timeout", -1),
+            ("cache_path", 1),
+            ("bypass_cache", "yes"),
+            ("source_label", None),
+        ],
+    )
+    def test_bad_setting_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"'{name}' must be"):
+            ClientConfig(**{name: value})
 
     def test_env_overrides(self):
         config = ClientConfig().with_env_overrides(

@@ -155,7 +155,7 @@ class TestPhraseMatching:
 
     def test_date_span_and_invariants(self, six_index):
         assert six_index.date_span() == (date(2001, 3, 10), date(2006, 9, 1))
-        six_index.verify_invariants()
+        six_index.check()
 
 
 WORDS = ["alpha", "beta", "stem", "cell", "gene", "tumor", "cortex", "assay"]

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import litminer.index
+import litminer.storage
 from litminer import (
     CorpusFormatError,
     DateRange,
@@ -123,7 +125,7 @@ class TestRoundTrip:
         assert queries(loaded, full_range) == queries(six_index, full_range)
         assert loaded.date_span() == six_index.date_span()
         assert int(loaded.built_at.timestamp()) == int(six_index.built_at.timestamp())
-        loaded.verify_invariants()
+        loaded.check()
 
     def test_empty_index_round_trip(self, tmp_path):
         path = tmp_path / "empty.idx"
@@ -333,12 +335,38 @@ BROKEN_INDEXES = {
 def test_structurally_broken_index_is_refused(case, tmp_path):
     fields, message = BROKEN_INDEXES[case]
     broken = make_index(*fields)
-    with pytest.raises(AssertionError):
-        broken.verify_invariants()
+    with pytest.raises(IndexFormatError, match=message):
+        broken.check()
     path = tmp_path / "broken.idx"
     save_index(broken, path)
     with pytest.raises(IndexFormatError, match=message):
         load_index(path)
+
+
+# Shapes only a directly built index can have: a file's sections fix them.
+MISSHAPEN_INDEXES = {
+    "fewer dates than ids": ((["a", "b"], [D1], {"x": (0, 1)}, [0], [0, 1], [0]), "lengths"),
+    "offsets without the final entry": ((["a"], [D1], {"x": (0, 1)}, [0], [0], [0]), "lengths"),
+    "overlapping spans": (
+        (["a"], [D1], {"x": (0, 1), "y": (0, 1)}, [0], [0, 1], [0]), "posting counts"
+    ),
+    "a gap between spans": (
+        (["a"], [D1], {"x": (0, 1), "y": (2, 3)}, [0, 0, 0], [0, 1, 2, 3], [0, 1, 2]),
+        "posting counts",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN_INDEXES))
+def test_misshapen_index_fails_check(case):
+    fields, message = MISSHAPEN_INDEXES[case]
+    with pytest.raises(IndexFormatError, match=message):
+        make_index(*fields).check()
+
+
+def test_index_format_error_is_one_class():
+    assert litminer.storage.IndexFormatError is litminer.index.IndexFormatError
+    assert litminer.IndexFormatError is IndexFormatError is litminer.index.IndexFormatError
 
 
 def test_values_may_fall_between_groups(tmp_path):
@@ -346,11 +374,11 @@ def test_values_may_fall_between_groups(tmp_path):
     index = make_index(
         ["a", "b"], [D1, D2], {"x": (0, 2), "y": (2, 3)}, [0, 1, 0], [0, 2, 3, 4], [3, 7, 1, 2]
     )
-    index.verify_invariants()
+    index.check()
     path = tmp_path / "ok.idx"
     save_index(index, path)
     loaded = load_index(path)
-    loaded.verify_invariants()
+    loaded.check()
     everything = DateRange(date(1900, 1, 1), date(2100, 1, 1))
     assert loaded.count_with(TokenizedPhrase(("x",)), everything) == 2
     assert loaded.count_with(TokenizedPhrase(("y", "x")), everything) == 1
