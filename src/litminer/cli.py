@@ -28,9 +28,11 @@ from .mining import (
     run_mining,
 )
 from .output import (
+    check_tsv_field,
     render_report,
     render_results_json,
     render_results_tsv,
+    run_parameters,
     write_text,
 )
 from .stats import (
@@ -39,7 +41,14 @@ from .stats import (
     derive_table,
     fisher_one_sided,
 )
-from .storage import CorpusFormatError, IndexFormatError, load_index, read_corpus, save_index
+from .storage import (
+    CorpusFormatError,
+    IndexFormatError,
+    load_index,
+    parse_date,
+    read_corpus,
+    save_index,
+)
 from .tokenizer import InvalidPhraseError, normalize_tokenize
 
 DEFAULT_RANGE_START = date(1900, 1, 1)
@@ -51,9 +60,7 @@ class UsageError(Exception):
 
 def _parse_date(text: str) -> date:
     try:
-        if len(text) != 10:
-            raise ValueError
-        return date.fromisoformat(text)
+        return parse_date(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a YYYY-MM-DD date") from None
 
@@ -178,7 +185,7 @@ def _client_config(args: argparse.Namespace) -> ClientConfig:
     try:
         config = ClientConfig()
         if args.client_config:
-            config = ClientConfig.from_file(args.client_config, base=config)
+            config = ClientConfig.from_file(args.client_config)
         return replace(config.with_env_overrides(), **updates)
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
@@ -284,9 +291,13 @@ def _read_terms(path: str) -> list[str]:
     except OSError as exc:
         raise UsageError(f"cannot read terms file: {exc}") from exc
     terms = []
-    for line in lines:
+    for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
+            try:
+                check_tsv_field(stripped)
+            except ValueError as exc:
+                raise UsageError(f"terms file {path} line {line_no}: term {exc}") from exc
             terms.append(stripped)
     if not terms:
         raise UsageError(f"terms file {path} contains no terms")
@@ -321,20 +332,12 @@ def cmd_mine(args: argparse.Namespace) -> int:
         "version": __version__,
         "command": "mine",
         "provider": identity,
-        "key_phrase": config.key_phrase,
+        **run_parameters(run),
         "terms_file": str(args.terms),
         "input_term_count": len(terms),
-        "p_threshold": config.p_threshold,
-        "ranking_mode": config.ranking_mode.value,
-        "date_range": {
-            "from": date_range.start.isoformat(),
-            "to": date_range.end.isoformat(),
-        },
         "parallelism": parallelism,
         "format": args.format,
         "output": str(out_path),
-        "article_total": run.article_total,
-        "kp_count": run.kp_count,
         "tallies": run.tallies,
         "started_at": started_at.isoformat(timespec="seconds"),
         "finished_at": finished_at.isoformat(timespec="seconds"),
@@ -376,10 +379,8 @@ def main(argv: list[str] | None = None) -> int:
         MiningError,
         TransportError,
         ProtocolError,
+        OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -202,7 +202,11 @@ _SETTING_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "max_attempts": (_positive_int, "an integer >= 1"),
     "backoff_base": (lambda v: _number(v) and v >= 0, "a number >= 0"),
     "backoff_cap": (lambda v: _number(v) and v >= 0, "a number >= 0"),
-    "timeout": (lambda v: _number(v) and v > 0, "a number > 0"),
+    # Above TIMEOUT_MAX a request's wait overflows the platform's time_t.
+    "timeout": (
+        lambda v: _number(v) and 0 < v <= threading.TIMEOUT_MAX,
+        f"a number > 0 and <= {threading.TIMEOUT_MAX:.0f}",
+    ),
     "cache_path": (_optional_str, "a string or null"),
     "bypass_cache": (lambda v: isinstance(v, bool), "true or false"),
     "source_label": (_str, "a string"),
@@ -251,8 +255,8 @@ class ClientConfig:
                 raise ValueError(f"client setting {name!r} must be {expected}, got {value!r}")
 
     @classmethod
-    def from_file(cls, path: str | Path, base: "ClientConfig | None" = None) -> "ClientConfig":
-        """Read a JSON config file on top of ``base`` (or the defaults).
+    def from_file(cls, path: str | Path) -> "ClientConfig":
+        """Read a JSON config file on top of the defaults.
 
         The file may set every field except ``bypass_cache``, which only
         the command line sets.
@@ -269,7 +273,7 @@ class ClientConfig:
         if unknown:
             raise ValueError(f"{path}: unknown client config keys: {unknown}")
         try:
-            return replace(base or cls(), **data)
+            return cls(**data)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 

@@ -245,29 +245,21 @@ def run_mining(
             f"key phrase {config.key_phrase!r} matches no documents in"
             f" {config.date_range}; no term can be scored"
         )
-        excluded = [
+        outcomes = [
             ExcludedTerm(term, ExclusionReason.KEY_PHRASE_ABSENT, detail=diagnostic)
             for term in unique_terms
         ]
-        return MiningRun(
-            significant=[],
-            excluded=excluded,
-            failed=[],
-            duplicates=duplicates,
-            article_total=article_total,
-            kp_count=kp_count,
-            config=config,
-            diagnostic=diagnostic,
-        )
-
-    def score(term: str) -> TermResult | ExcludedTerm | FailedTerm:
-        return _score_term(provider, config, article_total, kp_count, term)
-
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(score, unique_terms))
     else:
-        outcomes = [score(term) for term in unique_terms]
+        diagnostic = None
+
+        def score(term: str) -> TermResult | ExcludedTerm | FailedTerm:
+            return _score_term(provider, config, article_total, kp_count, term)
+
+        if parallelism > 1:
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                outcomes = list(pool.map(score, unique_terms))
+        else:
+            outcomes = [score(term) for term in unique_terms]
 
     results = [o for o in outcomes if isinstance(o, TermResult)]
     excluded = [o for o in outcomes if isinstance(o, ExcludedTerm)]
@@ -287,5 +279,5 @@ def run_mining(
         article_total=article_total,
         kp_count=kp_count,
         config=config,
-        diagnostic=None,
+        diagnostic=diagnostic,
     )

@@ -1,4 +1,7 @@
-"""Result serialization: ranked TSV, structured JSON, sidecar report, manifest.
+"""Result serialization: ranked TSV, structured JSON, sidecar report.
+
+:func:`run_parameters` is the block of run settings and totals that both
+the structured results and the CLI's manifest carry.
 
 Both result formats are deterministic byte-for-byte for identical inputs,
 and both round-trip: parsing a written file reproduces the exact
@@ -49,9 +52,20 @@ def display_ratio(r: TermResult) -> str:
     return str(Decimal(repr(r.ratio)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
+def check_tsv_field(text: str) -> None:
+    """Raise ``ValueError`` if ``text`` holds a tab or a line break.
+
+    Either would split a TSV row; line breaks are those of ``str.splitlines``,
+    which :func:`parse_results_tsv` splits on.
+    """
+    if "\t" in text or text.splitlines() != [text]:
+        raise ValueError(f"{text!r} contains a tab or line break, which a TSV field cannot hold")
+
+
 def render_results_tsv(results: Sequence[TermResult]) -> str:
     lines = ["\t".join(TSV_COLUMNS)]
     for rank, r in enumerate(results, start=1):
+        check_tsv_field(r.term)
         lines.append(
             "\t".join(
                 (
@@ -113,10 +127,9 @@ def _result_record(rank: int, r: TermResult) -> dict[str, Any]:
     }
 
 
-def render_results_json(run: MiningRun) -> str:
-    document = {
-        "format": RESULTS_FORMAT_NAME,
-        "version": RESULTS_FORMAT_VERSION,
+def run_parameters(run: MiningRun) -> dict[str, Any]:
+    """The run's settings and corpus totals, as the results and manifest record them."""
+    return {
         "key_phrase": run.config.key_phrase,
         "date_range": {
             "from": run.config.date_range.start.isoformat(),
@@ -126,6 +139,14 @@ def render_results_json(run: MiningRun) -> str:
         "ranking_mode": run.config.ranking_mode.value,
         "article_total": run.article_total,
         "kp_count": run.kp_count,
+    }
+
+
+def render_results_json(run: MiningRun) -> str:
+    document = {
+        "format": RESULTS_FORMAT_NAME,
+        "version": RESULTS_FORMAT_VERSION,
+        **run_parameters(run),
         "results": [
             _result_record(rank, r) for rank, r in enumerate(run.significant, start=1)
         ],

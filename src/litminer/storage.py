@@ -66,6 +66,22 @@ class CorpusFormatError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
+def parse_date(text: str) -> date:
+    """The date that ``text`` spells as YYYY-MM-DD, and no other spelling.
+
+    Raises ``ValueError("not YYYY-MM-DD")`` for text of another shape (the
+    ISO parser alone also takes forms such as ``2004-W01-1`` from Python
+    3.11 on) and ``ValueError("not a valid date")`` for a date that does not
+    exist, such as 2001-02-30.
+    """
+    if _DATE_RE.fullmatch(text) is None:
+        raise ValueError("not YYYY-MM-DD")
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        raise ValueError("not a valid date") from None
+
+
 def parse_corpus_line(line: str, line_no: int) -> Document:
     try:
         record = json.loads(line)
@@ -82,16 +98,10 @@ def parse_corpus_line(line: str, line_no: int) -> Document:
     if not doc_id:
         raise CorpusFormatError(line_no, "field 'id' is empty")
     raw_date = record["date"]
-    if _DATE_RE.fullmatch(raw_date) is None:
-        raise CorpusFormatError(
-            line_no, f"date {raw_date!r} for doc {doc_id!r} is not YYYY-MM-DD"
-        )
     try:
-        pub_date = date.fromisoformat(raw_date)
+        pub_date = parse_date(raw_date)
     except ValueError as exc:
-        raise CorpusFormatError(
-            line_no, f"date {raw_date!r} for doc {doc_id!r} is not a valid date"
-        ) from exc
+        raise CorpusFormatError(line_no, f"date {raw_date!r} for doc {doc_id!r} is {exc}") from exc
     return Document(doc_id=doc_id, text=record["text"], pub_date=pub_date)
 
 

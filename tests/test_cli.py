@@ -174,6 +174,24 @@ class TestCountCommand:
     def test_bad_date_is_usage_error(self, six_index_file):
         assert main(["count", "--index", str(six_index_file), "--to", "2004-1-1", "a"]) == 2
 
+    @pytest.mark.parametrize("text", ["2004-W01-1", "2004-02-30"])
+    def test_date_follows_the_corpus_rule(self, six_index_file, capsys, text):
+        # Python 3.11+ date.fromisoformat alone reads 2004-W01-1 as 2003-12-29.
+        code = main(["count", "--index", str(six_index_file), "--to", text, "alpha"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{text!r} is not a YYYY-MM-DD date" in captured.err
+
+    def test_local_provider_without_index_is_usage_error(self, capsys):
+        assert main(["count", "--provider", "local", "alpha"]) == 2
+        assert "--provider local requires --index PATH" in capsys.readouterr().err
+
+    def test_remote_provider_with_index_is_usage_error(self, six_index_file, capsys):
+        code = main(["count", "--provider", "remote", "--index", str(six_index_file), "alpha"])
+        assert code == 2
+        assert "--index conflicts with --provider remote" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -212,6 +230,9 @@ class TestClientConfigErrors:
                 '{"timeout": ', {}, "client.json: client config is not valid JSON", id="bad JSON"
             ),
             pytest.param('{"timeout": -1}', {}, "timeout", id="negative timeout"),
+            pytest.param(
+                None, {"LITMINER_TIMEOUT": "inf"}, "LITMINER_TIMEOUT", id="env timeout too long"
+            ),
             pytest.param(
                 None, {"LITMINER_RATE_LIMIT": "fast"}, "LITMINER_RATE_LIMIT", id="env not a number"
             ),
@@ -292,6 +313,51 @@ class TestMineCommand:
         assert doc["format"] == "litminer-results"
         results = parse_results_json(out_path.read_text(encoding="utf-8"))
         assert [r.term for r in results] == ["alpha"]
+
+    def test_manifest_carries_the_structured_run_parameters(
+        self, six_index_file, terms_file, tmp_path
+    ):
+        out_path = tmp_path / "results.json"
+        assert mine_local(six_index_file, terms_file, out_path, "--format", "structured") == 0
+        doc = json.loads(out_path.read_text(encoding="utf-8"))
+        manifest = json.loads(
+            (tmp_path / "results.json.manifest.json").read_text(encoding="utf-8")
+        )
+        keys = ["key_phrase", "date_range", "p_threshold", "ranking_mode"]
+        keys += ["article_total", "kp_count"]
+        assert {k: manifest[k] for k in keys} == {k: doc[k] for k in keys}
+        assert doc["date_range"] == {"from": "1900-01-01", "to": "2017-12-31"}
+        assert (doc["article_total"], doc["kp_count"]) == (6, 3)
+
+    @pytest.mark.parametrize("term", ["alpha\tprotein", "alpha\u2028protein"])
+    def test_term_the_tsv_cannot_hold_is_usage_error(self, tmp_path, capsys, term):
+        terms_path = tmp_path / "terms.txt"
+        terms_path.write_text(f"beta\n# note\talpha\n{term}\n", encoding="utf-8")
+        with CountingStubServer() as server:
+            code = main(
+                [
+                    "mine",
+                    "--endpoint",
+                    server.url,
+                    "--key-phrase",
+                    "stem cell",
+                    "--terms",
+                    str(terms_path),
+                    "--output",
+                    str(tmp_path / "r.tsv"),
+                ]
+            )
+            assert server.request_count == 0
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"line 3: term {term!r} contains a tab or line break" in captured.err
+        assert not (tmp_path / "r.tsv").exists()
+
+    def test_unreadable_terms_file_is_usage_error(self, six_index_file, tmp_path, capsys):
+        code = mine_local(six_index_file, tmp_path / "absent.txt", tmp_path / "r.tsv")
+        assert code == 2
+        assert "cannot read terms file" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
 
     def test_local_run_uses_one_worker(self, six_index_file, terms_file, tmp_path):
         assert mine_local(six_index_file, terms_file, tmp_path / "r.tsv") == 0

@@ -410,6 +410,8 @@ class TestClientConfig:
             ("backoff_base", -0.1),
             ("backoff_cap", "1"),
             ("timeout", -1),
+            ("timeout", float("inf")),
+            ("timeout", 1e10),
             ("cache_path", 1),
             ("bypass_cache", "yes"),
             ("source_label", None),
@@ -418,6 +420,9 @@ class TestClientConfig:
     def test_bad_setting_is_named(self, name, value):
         with pytest.raises(ValueError, match=f"'{name}' must be"):
             ClientConfig(**{name: value})
+
+    def test_longest_timeout_a_request_can_wait(self):
+        assert ClientConfig(timeout=threading.TIMEOUT_MAX).timeout == threading.TIMEOUT_MAX
 
     def test_env_overrides(self):
         config = ClientConfig().with_env_overrides(

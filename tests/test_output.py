@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,14 @@ class TestTsv:
     def test_parse_rejects_wrong_header(self):
         with pytest.raises(ResultParseError):
             parse_results_tsv("rank\tterm\n1\talpha\n")
+
+    @pytest.mark.parametrize(
+        "term", ["alpha\tprotein", "alpha\rprotein", "alpha\nprotein", "alpha\u2028", "\x1calpha"]
+    )
+    def test_term_that_would_break_a_row_is_refused(self, small_run, term):
+        results = [*small_run.significant, replace(small_run.significant[0], term=term)]
+        with pytest.raises(ValueError, match="tab or line break"):
+            render_results_tsv(results)
 
 
 class TestJson:

@@ -1,6 +1,7 @@
 import json
 import random
 import struct
+import zlib
 from array import array
 from datetime import date, datetime, timedelta, timezone
 
@@ -23,7 +24,7 @@ from litminer import (
     save_index,
 )
 from litminer.index import U32
-from litminer.storage import INDEX_MAGIC, parse_corpus_line, write_atomically
+from litminer.storage import INDEX_MAGIC, parse_corpus_line, parse_date, write_atomically
 from litminer.tokenizer import TOKENIZER_VERSION
 from conftest import SIX_DOCS
 
@@ -80,6 +81,35 @@ class TestParseCorpusLine:
     def test_date_error_names_document(self):
         with pytest.raises(CorpusFormatError, match="d9"):
             parse_corpus_line(line_for(doc_id="d9", pub="2001-02-30"), 1)
+
+    @pytest.mark.parametrize(
+        "pub, message",
+        [
+            ("2001-3-10", "'2001-3-10' for doc 'd1' is not YYYY-MM-DD"),
+            ("2004-W01-1", "'2004-W01-1' for doc 'd1' is not YYYY-MM-DD"),
+            ("2001-02-30", "'2001-02-30' for doc 'd1' is not a valid date"),
+        ],
+    )
+    def test_date_error_says_which_rule_failed(self, pub, message):
+        with pytest.raises(CorpusFormatError, match=message):
+            parse_corpus_line(line_for(pub=pub), 1)
+
+
+class TestParseDate:
+    def test_reads_yyyy_mm_dd(self):
+        assert parse_date("2004-02-29") == date(2004, 2, 29)
+
+    @pytest.mark.parametrize(
+        "text", ["2004-W01-1", "20040101", "2004-001", "2004-1-1", "2004-01-01 ", "2004-01-01\n"]
+    )
+    def test_other_shapes_are_refused(self, text):
+        with pytest.raises(ValueError, match="^not YYYY-MM-DD$"):
+            parse_date(text)
+
+    @pytest.mark.parametrize("text", ["2001-02-29", "2001-13-01", "0000-01-01"])
+    def test_dates_that_do_not_exist_are_refused(self, text):
+        with pytest.raises(ValueError, match="^not a valid date$"):
+            parse_date(text)
 
 
 class TestReadCorpus:
@@ -259,6 +289,38 @@ class TestLoadRejections:
     def test_not_a_file(self, tmp_path):
         with pytest.raises(OSError):
             load_index(tmp_path / "missing.idx")
+
+    @staticmethod
+    def write_body(path, body):
+        """Write ``body`` under the saved file's header with its CRC32 recomputed,
+        so that the framing, not the checksum, has to refuse it."""
+        header = path.read_bytes()[:16]
+        path.write_bytes(header[:12] + struct.pack("<I", zlib.crc32(body)) + body)
+
+    def test_valid_checksum_over_a_cut_section(self, saved):
+        self.write_body(saved, saved.read_bytes()[16:-4])
+        with pytest.raises(IndexFormatError, match="index file is truncated$"):
+            load_index(saved)
+
+    def test_valid_checksum_over_invalid_utf8(self, saved):
+        body = bytearray(saved.read_bytes()[16:])
+        # The corpus name "six": its u32 length follows the 24-byte counts.
+        assert body[24:31] == struct.pack("<I", 3) + b"six"
+        body[28] = 0xFF
+        self.write_body(saved, bytes(body))
+        with pytest.raises(IndexFormatError, match="invalid UTF-8"):
+            load_index(saved)
+
+    def test_valid_checksum_over_trailing_data(self, saved):
+        self.write_body(saved, saved.read_bytes()[16:] + b"extra")
+        with pytest.raises(IndexFormatError, match="trailing data after index body"):
+            load_index(saved)
+
+    def test_short_file_that_is_not_a_magic_prefix(self, tmp_path):
+        path = tmp_path / "short.idx"
+        path.write_bytes(b"LITMX")
+        with pytest.raises(IndexFormatError, match=r"not an index file \(bad magic\)"):
+            load_index(path)
 
 
 @pytest.fixture(scope="module")
