@@ -286,7 +286,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def _read_terms(path: str) -> list[str]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read terms file: {exc}") from exc

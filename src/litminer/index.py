@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import and_, itemgetter, lshift, lt, sub
+from itertools import accumulate, chain, compress, islice, pairwise, repeat
+from operator import and_, itemgetter, lshift, lt, ne, sub
 from typing import Iterable, Sequence
 
 from .tokenizer import TokenizedPhrase, normalize_tokenize
@@ -297,23 +298,38 @@ def build_index(
         seen.add(doc.doc_id)
     docs.sort(key=lambda d: (d.pub_date.toordinal(), d.doc_id))
 
-    # token -> its doc ids, and the list of its positions in each of them
-    token_docs: dict[str, list[int]] = {}
-    token_positions: dict[str, list[list[int]]] = {}
+    # Number every occurrence in (doc, position) order and append its number
+    # to its token's array; ``doc_of`` maps a number to its doc and
+    # ``starts`` a doc to its first number.
+    occurrences: defaultdict[str, array] = defaultdict(lambda: array(U32))
+    doc_of = array(U32)
+    starts = array(U32)
     for internal, doc in enumerate(docs):
-        per_token: dict[str, list[int]] = {}
-        for token, position in normalize_tokenize(doc.text):
-            per_token.setdefault(token, []).append(position)
-        for token, positions in per_token.items():
-            token_docs.setdefault(token, []).append(internal)
-            token_positions.setdefault(token, []).append(positions)
+        doc_tokens = normalize_tokenize(doc.text)
+        starts.append(len(doc_of))
+        for number, token in enumerate(doc_tokens, len(doc_of)):
+            occurrences[token].append(number)
+        doc_of.extend(repeat(internal, len(doc_tokens)))
 
-    tokens = sorted(token_docs)
-    doc_lists = [token_docs[token] for token in tokens]
-    ends = list(accumulate(map(len, doc_lists)))
-    spans = dict(zip(tokens, zip([0, *ends], ends)))
-    position_lists = list(chain.from_iterable(map(token_positions.__getitem__, tokens)))
-    offsets = array(U32, accumulate(map(len, position_lists), initial=0))
+    # The same numbers grouped by token in ascending token order; a token's
+    # run of numbers begins at ``runs[k]``.
+    tokens = sorted(occurrences)
+    numbers = array(U32, chain.from_iterable(map(occurrences.__getitem__, tokens)))
+    runs = list(accumulate(map(len, map(occurrences.__getitem__, tokens)), initial=0))
+    del occurrences
+    occurrence_docs = array(U32, map(doc_of.__getitem__, numbers))
+    del doc_of
+    positions = array(U32, map(sub, numbers, map(starts.__getitem__, occurrence_docs)))
+    del numbers, starts
+    # A posting begins where the doc changes or a token's run begins.
+    begins = bytearray(map(ne, occurrence_docs, chain((-1,), occurrence_docs)))
+    for run in runs[:-1]:
+        begins[run] = 1
+    offsets = array(U32, compress(range(len(positions)), begins))
+    offsets.append(len(positions))
+    postings = array(U32, compress(occurrence_docs, begins))
+    del occurrence_docs, begins
+    spans = dict(zip(tokens, pairwise(map(bisect_left, repeat(offsets), runs))))
 
     if built_at is None:
         built_at = datetime.now(timezone.utc)
@@ -321,9 +337,9 @@ def build_index(
         [d.doc_id for d in docs],
         array(U32, [d.pub_date.toordinal() for d in docs]),
         spans,
-        array(U32, chain.from_iterable(doc_lists)),
+        postings,
         offsets,
-        array(U32, chain.from_iterable(position_lists)),
+        positions,
         corpus_name,
         built_at,
     )

@@ -157,7 +157,7 @@ def deduplicate_terms(terms: Sequence[str]) -> tuple[list[str], list[tuple[str, 
     unique: list[str] = []
     duplicates: list[tuple[str, str]] = []
     for term in terms:
-        key = tuple(tok for tok, _ in normalize_tokenize(term))
+        key = tuple(normalize_tokenize(term))
         kept = seen.get(key)
         if kept is None:
             seen[key] = term

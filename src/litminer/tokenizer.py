@@ -18,15 +18,14 @@ class InvalidPhraseError(ValueError):
     """Raised when a phrase contains no indexable tokens."""
 
 
-def normalize_tokenize(text: str) -> list[tuple[str, int]]:
-    """Split ``text`` into (token, position) pairs.
+def normalize_tokenize(text: str) -> list[str]:
+    """Split ``text`` into its tokens, in order of appearance.
 
     The text is lowercased first, then tokens are taken as maximal runs of
-    letters and digits.  Positions number the tokens 0, 1, 2, ... in order
-    of appearance, so phrase queries can test adjacency.
+    letters and digits.  A token's position is its index in the list, so
+    phrase queries can test adjacency.
     """
-    lowered = text.lower()
-    return [(m.group(), i) for i, m in enumerate(_TOKEN_RE.finditer(lowered))]
+    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ class TokenizedPhrase:
 
     @classmethod
     def from_text(cls, text: str) -> "TokenizedPhrase":
-        tokens = tuple(tok for tok, _ in normalize_tokenize(text))
+        tokens = tuple(normalize_tokenize(text))
         if not tokens:
             raise InvalidPhraseError(f"phrase {text!r} contains no indexable tokens")
         return cls(tokens)

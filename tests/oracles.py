@@ -33,7 +33,7 @@ def hypergeom_upper_tail_exact(
 
 
 def tokens_of(text: str) -> list[str]:
-    return [tok for tok, _ in normalize_tokenize(text)]
+    return normalize_tokenize(text)
 
 
 def contains_sequence(tokens: list[str], phrase: tuple[str, ...]) -> bool:

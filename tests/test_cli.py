@@ -427,6 +427,23 @@ class TestMineCommand:
             {"dropped": "ALPHA", "kept": "alpha"},
         ]
 
+    def test_byte_order_mark_does_not_hide_a_first_line_comment(self, six_index_file, tmp_path):
+        terms = tmp_path / "bom.txt"
+        terms.write_bytes("\ufeff# my terms\nalpha\nbeta".encode("utf-8"))
+        out_path = tmp_path / "r.tsv"
+        assert mine_local(six_index_file, terms, out_path) == 0
+        report = json.loads((tmp_path / "r.tsv.report.json").read_text(encoding="utf-8"))
+        assert [e["term"] for e in report["excluded"]] == ["beta"]
+
+    def test_byte_order_mark_is_not_part_of_the_first_term(self, six_index_file, tmp_path):
+        terms = tmp_path / "bom.txt"
+        terms.write_bytes("\ufeffalpha\nbeta".encode("utf-8"))
+        out_path = tmp_path / "r.tsv"
+        assert mine_local(six_index_file, terms, out_path) == 0
+        text = out_path.read_text(encoding="utf-8")
+        assert "\ufeff" not in text
+        assert [r.term for r in parse_results_tsv(text)] == ["alpha"]
+
     def test_ranking_mode_changes_order_not_membership(self, tmp_path):
         corpus = write_corpus(
             tmp_path / "mode.jsonl",

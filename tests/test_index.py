@@ -20,6 +20,7 @@ from oracles import (
     scan_article_count,
     scan_count_with,
     scan_count_with_both,
+    tokens_of,
 )
 
 
@@ -204,6 +205,70 @@ def test_counts_match_linear_scan(seed):
         assert index.count_with_both(
             TokenizedPhrase(tokens), TokenizedPhrase(other), date_range
         ) == scan_count_with_both(scannable, tokens, other, date_range.start, date_range.end)
+
+
+# Mixed case and non-ASCII letters; the tokenizer lowercases them.
+GROUPING_WORDS = ["alpha", "Beta", "stem", "cell", "Naïve", "β", "ÄRZTE", "東京"]
+GROUPING_DAYS = [date(2001, 1, 1), date(2001, 1, 2), date(2003, 5, 5)]
+
+
+@st.composite
+def grouping_corpora(draw):
+    """Random documents, plus the cases where a posting starts or ends oddly.
+
+    An empty document and one that repeats its tokens share a date, and the
+    last document in (date, id) order holds the only "ωmega".
+    """
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(GROUPING_WORDS), max_size=12),
+                st.sampled_from(GROUPING_DAYS),
+            ),
+            max_size=20,
+        )
+    )
+    docs = [Document(f"r{i}", " ".join(words), day) for i, (words, day) in enumerate(rows)]
+    day = draw(st.sampled_from(GROUPING_DAYS))
+    return docs + [
+        Document("empty", "", day),
+        Document("repeat", "naïve stem cell Naïve STEM-cell stem", day),
+        Document("last", "alpha Ωmega", date(2011, 1, 1)),
+    ]
+
+
+def postings_of(index):
+    """{token: [(doc id, positions), ...]} read off the index's arrays."""
+    docs, offsets, positions = index._docs, index._offsets, index._positions
+    return {
+        token: [
+            (index._doc_ids[docs[j]], list(positions[offsets[j] : offsets[j + 1]]))
+            for j in range(s, e)
+        ]
+        for token, (s, e) in index._spans.items()
+    }
+
+
+@given(grouping_corpora())
+@settings(max_examples=60, deadline=None)
+def test_postings_match_oracle_tokens(tmp_path_factory, docs):
+    built_at = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    index = build_index(docs, built_at=built_at)
+    index.check()
+    expected = {}
+    for doc in sorted(docs, key=lambda d: (d.pub_date, d.doc_id)):
+        tokens = tokens_of(doc.text)
+        for token in dict.fromkeys(tokens):
+            where = [p for p, t in enumerate(tokens) if t == token]
+            expected.setdefault(token, []).append((doc.doc_id, where))
+    assert postings_of(index) == dict(sorted(expected.items()))
+    assert list(index._spans) == sorted(expected)
+    assert postings_of(index)["ωmega"] == [("last", [1])]
+
+    directory = tmp_path_factory.mktemp("grouping")
+    save_index(index, directory / "forward.idx")
+    save_index(build_index(docs[::-1], built_at=built_at), directory / "reversed.idx")
+    assert (directory / "forward.idx").read_bytes() == (directory / "reversed.idx").read_bytes()
 
 
 def test_empty_index_counts_zero_in_every_window():

@@ -1,9 +1,12 @@
 """The README's quick start, run as written: same corpus, same arguments, same output."""
 
+import hashlib
 import re
 import shlex
+from datetime import datetime, timezone
 from pathlib import Path
 
+from litminer import build_index, read_corpus, save_index
 from litminer.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -35,3 +38,19 @@ def test_quick_start_output_matches_readme(tmp_path, monkeypatch, capsys):
     for args in invocations:
         assert main(args) == 0, capsys.readouterr().err
     assert Path("results.tsv").read_bytes() == expected.encode("utf-8")
+
+
+# SHA-256 of the quick-start corpus's index file, built at BUILT_AT.  Any
+# change to the saved layout, the tokenizer or the document order moves it.
+QUICK_START_INDEX_SHA256 = "2d71827f48cdf2a918afd809a02cff5bdf0064eecfcb714c767daf79efa2e4b5"
+BUILT_AT = datetime(2020, 1, 1, tzinfo=timezone.utc)
+
+
+def test_quick_start_index_file_is_golden(tmp_path):
+    script, _expected = quick_start()
+    corpus = re.search(r"<<'EOF'\n(.*?)^EOF$", script, re.S | re.M).group(1)
+    (tmp_path / "corpus.jsonl").write_text(corpus, encoding="utf-8")
+    docs = read_corpus(tmp_path / "corpus.jsonl")
+    save_index(build_index(docs, corpus_name="corpus", built_at=BUILT_AT), tmp_path / "corpus.idx")
+    digest = hashlib.sha256((tmp_path / "corpus.idx").read_bytes()).hexdigest()
+    assert digest == QUICK_START_INDEX_SHA256
