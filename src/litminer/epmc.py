@@ -9,10 +9,13 @@ live corpora grow over time and a run should be reproducible afterwards.
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import logging
 import os
 import random
+import select
 import threading
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -20,9 +23,10 @@ from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Mapping
+from urllib.parse import SplitResult, unquote, urlencode, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
-import requests
-
+from . import __version__
 from .index import DateRange
 from .tokenizer import InvalidPhraseError
 
@@ -38,6 +42,8 @@ DEFAULT_COUNT_PARAMS: Mapping[str, str] = {
 }
 
 _ENV_PREFIX = "LITMINER_"
+_HEADERS = {"Accept": "application/json", "User-Agent": f"litminer/{__version__}"}
+_Route = tuple[http.client.HTTPConnection, str, dict]
 
 
 class TransportError(RuntimeError):
@@ -170,6 +176,81 @@ class RateLimiter:
         self._slots.release()
 
 
+@dataclass(frozen=True)
+class HttpResponse:
+    """A response read whole: status, headers and body."""
+
+    status_code: int
+    body: bytes
+    headers: Mapping[str, str]
+
+    def json(self) -> Any:
+        return json.loads(self.body)
+
+
+class HttpSession:
+    """Keep-alive GET requests over ``http.client``; the client's default session.
+
+    A finished request's connection waits for the next one, so a session
+    holds no more connections than requests it has run at once.  Redirects
+    are returned, not followed.  See README "Remote counting" for TLS and
+    proxies.  No error message carries the request's URL.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: dict[tuple, list[_Route]] = {}
+
+    def get(
+        self, url: str, params: Mapping[str, str] | None = None, timeout: float | None = None
+    ) -> HttpResponse:
+        parts = urlsplit(url)
+        query = "&".join(filter(None, (parts.query, urlencode(params or {}))))
+        key = (parts.scheme, parts.netloc, timeout)
+        with self._lock:
+            idle = self._idle.get(key)
+            entry = idle.pop() if idle else None
+        conn, prefix, headers = entry or self._open(parts, timeout)
+        if entry and conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()  # readable while idle: the server closed it; reconnect
+        target = prefix + (parts.path or "/") + (f"?{query}" if query else "")
+        try:
+            conn.request("GET", target, headers=headers)
+            response = conn.getresponse()
+            result = HttpResponse(response.status, response.read(), response.headers)
+        except BaseException:
+            conn.close()
+            raise
+        with self._lock:
+            self._idle.setdefault(key, []).append((conn, prefix, headers))
+        return result
+
+    def _open(self, parts: SplitResult, timeout: float | None) -> _Route:
+        """(new connection, request-target prefix, headers) for ``parts``' origin."""
+        https = parts.scheme == "https"
+        connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        proxy = getproxies().get(parts.scheme)
+        if not proxy or proxy_bypass(parts.netloc):
+            return connection(parts.hostname, parts.port, timeout=timeout), "", _HEADERS
+        via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        try:
+            address = (via.hostname, via.port or 80)
+        except ValueError:  # a port that is not a number
+            address = (None, 0)
+        if not address[0]:
+            raise http.client.InvalidURL(f"{parts.scheme}_proxy is not a proxy URL")
+        auth = {}
+        if via.username is not None:
+            user = f"{unquote(via.username)}:{unquote(via.password or '')}"
+            auth["Proxy-Authorization"] = f"Basic {base64.b64encode(user.encode()).decode()}"
+        conn = connection(*address, timeout=timeout)
+        if https:  # a tunnel, so TLS runs end to end with the origin
+            conn.set_tunnel(parts.hostname, parts.port, headers=auth)
+            return conn, "", _HEADERS
+        # Plain http goes to the proxy with the absolute URL as its target.
+        return conn, f"http://{parts.netloc}", {**_HEADERS, **auth}
+
+
 def _str(value: Any) -> bool:
     return isinstance(value, str)
 
@@ -190,9 +271,24 @@ def _str_mapping(value: Any) -> bool:
     return isinstance(value, Mapping) and all(map(_str, chain.from_iterable(value.items())))
 
 
+def _http_url(value: Any) -> bool:
+    # http.client refuses these characters, some with the URL in its message.
+    if not (isinstance(value, str) and value.isascii() and value.isprintable()) or " " in value:
+        return False
+    try:
+        parts = urlsplit(value)
+        parts.port  # raises ValueError when out of range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname) and "@" not in parts.netloc
+
+
 # What each ClientConfig setting must hold: a test, and its wording in errors.
 _SETTING_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
-    "endpoint": (_str, "a string"),
+    "endpoint": (
+        _http_url,
+        "an ASCII http or https URL with a host, no user info and no blanks",
+    ),
     "count_field": (_str, "a string"),
     "count_params": (_str_mapping, "an object of string values"),
     "api_key": (_optional_str, "a string or null"),
@@ -296,7 +392,7 @@ class EpmcCountClient:
 
     def __init__(self, config: ClientConfig | None = None, session: Any = None):
         self.config = config or ClientConfig()
-        self._session = session if session is not None else requests.Session()
+        self._session = session if session is not None else HttpSession()
         self.cache = CountCache(self.config.cache_path)
         self._limiter = RateLimiter(
             self.config.requests_per_second, self.config.max_in_flight
@@ -322,39 +418,43 @@ class EpmcCountClient:
         params = {"query": query_string, **self.config.count_params}
         if self.config.api_key:
             params[self.config.api_key_param] = self.config.api_key
+        attempts = self.config.max_attempts
         last_failure = "no attempts made"
-        for attempt in range(self.config.max_attempts):
-            if attempt:
-                delay = min(
-                    self.config.backoff_cap,
-                    self.config.backoff_base * 2 ** (attempt - 1),
-                )
+        for attempt in range(1, attempts + 1):
+            if attempt > 1:
+                delay = min(self.config.backoff_cap, self.config.backoff_base * 2 ** (attempt - 2))
                 time.sleep(delay * random.uniform(0.5, 1.0))
             try:
                 with self._limiter:
                     response = self._session.get(
                         self.config.endpoint, params=params, timeout=self.config.timeout
                     )
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
-                logger.warning("attempt %d failed (%s), retrying", attempt + 1, last_failure)
-                continue
-            status = response.status_code
-            if status == 200:
-                try:
-                    return response.json()
-                except ValueError as exc:
-                    raise ProtocolError(
-                        query_string, f"response body is not JSON: {exc}"
-                    ) from exc
-            if status == 429 or 500 <= status < 600:
+            else:
+                status = response.status_code
+                if status == 200:
+                    try:
+                        return response.json()
+                    except ValueError as exc:
+                        raise ProtocolError(
+                            query_string, f"response body is not JSON: {exc}"
+                        ) from exc
                 last_failure = f"HTTP {status}"
-                logger.warning("attempt %d failed (%s), retrying", attempt + 1, last_failure)
-                continue
-            raise TransportError(query_string, f"HTTP {status}")
+                if 300 <= status < 400:
+                    # Not followed: the cache is keyed by query alone.  The
+                    # Location's query may echo the API key, so it is left out.
+                    location = response.headers.get("Location", "").split("?")[0]
+                    raise TransportError(query_string, f"{last_failure} to {location}")
+                if not (status == 429 or 500 <= status < 600):
+                    raise TransportError(query_string, last_failure)
+            retrying = ", retrying" if attempt < attempts else ""
+            logger.warning(
+                "attempt %d of %d failed (%s)%s", attempt, attempts, last_failure, retrying
+            )
         raise TransportError(
             query_string,
-            f"gave up after {self.config.max_attempts} attempts; last failure: {last_failure}",
+            f"gave up after {attempts} attempts; last failure: {last_failure}",
         )
 
     def _extract_count(self, payload: Any, query_string: str) -> int:

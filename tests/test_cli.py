@@ -231,6 +231,16 @@ class TestClientConfigErrors:
             ),
             pytest.param('{"timeout": -1}', {}, "timeout", id="negative timeout"),
             pytest.param(
+                '{"endpoint": "example.org/search"}', {}, "endpoint", id="endpoint without scheme"
+            ),
+            pytest.param('{"endpoint": "ftp://host/x"}', {}, "endpoint", id="ftp endpoint"),
+            pytest.param(
+                None,
+                {"LITMINER_ENDPOINT": "http://u:p@host/x"},
+                "LITMINER_ENDPOINT",
+                id="env endpoint with user info",
+            ),
+            pytest.param(
                 None, {"LITMINER_TIMEOUT": "inf"}, "LITMINER_TIMEOUT", id="env timeout too long"
             ),
             pytest.param(
@@ -258,6 +268,15 @@ class TestClientConfigErrors:
         assert "usage error" in captured.err
         assert named in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "endpoint", ["example.org/search", "ftp://127.0.0.1/x", "http://u:p@127.0.0.1:9/x"]
+    )
+    def test_bad_endpoint_flag_is_usage_error(self, capsys, endpoint):
+        code = main(["count", "--endpoint", endpoint, "alpha"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "'endpoint' must be an ASCII http or https URL" in captured.err
 
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
@@ -589,6 +608,19 @@ class TestMineRemote:
             "beta",
         ]
         assert outputs[1] == outputs[3]
+
+    def test_connections_stay_within_max_in_flight(self, tmp_path):
+        window = "(FIRST_PDATE:[1900-01-01 TO 2004-12-31])"
+        responses = dict(self.RESPONSES)
+        terms = tuple(f"term{i}" for i in range(12))
+        for term in terms:
+            responses[f'"{term}" AND {window}'] = 30
+            responses[f'"{term}" AND "stem cell" AND {window}'] = 12
+        with CountingStubServer(responses=responses) as server:
+            code, _ = self.run_mine(server, tmp_path, "r.tsv", terms=terms, max_in_flight=3)
+            assert code == 0
+            assert server.request_count == 2 + 2 * len(terms)
+            assert 1 <= server.connection_count <= 3
 
     def test_manifest_records_remote_provider(self, tmp_path):
         with CountingStubServer(responses=self.RESPONSES) as server:

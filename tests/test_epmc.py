@@ -1,12 +1,15 @@
+import base64
 import dataclasses
+import http.client
 import json
+import socket
 import threading
 import time
 from datetime import date
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
-import requests
 
 from litminer import (
     ClientConfig,
@@ -167,10 +170,17 @@ class TestRetry:
         assert client.fetch_count(build_query("x", date_range=RANGE_2004)) == 2
         assert len(session.calls) == 2
 
-    def test_retries_connection_errors(self):
-        session = FakeSession(
-            [requests.ConnectionError("refused"), ok_response(9)]
-        )
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ConnectionRefusedError("refused"),
+            http.client.RemoteDisconnected("closed"),
+            TimeoutError("timed out"),
+        ],
+        ids=["refused", "remote disconnected", "timeout"],
+    )
+    def test_retries_connection_errors(self, error):
+        session = FakeSession([error, ok_response(9)])
         client = EpmcCountClient(fast_config(), session=session)
         assert client.fetch_count(build_query("x", date_range=RANGE_2004)) == 9
 
@@ -415,6 +425,9 @@ class TestClientConfig:
             ("cache_path", 1),
             ("bypass_cache", "yes"),
             ("source_label", None),
+            ("endpoint", "example.org/search"),
+            ("endpoint", "ftp://host/x"),
+            ("endpoint", "http://u:p@host/x"),
         ],
     )
     def test_bad_setting_is_named(self, name, value):
@@ -496,3 +509,150 @@ class TestAgainstStubServer:
             client = EpmcCountClient(fast_config(endpoint=server.url))
             query = build_query("NANOG", "embryonic stem cell", date_range=RANGE_2004)
             assert client.fetch_count(query) == 15
+
+
+def closed_port() -> int:
+    """A localhost port nothing listens on."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        return listener.getsockname()[1]
+
+
+@pytest.fixture
+def offline(monkeypatch):
+    """No proxy variables, and every name lookup but 127.0.0.1 refused and recorded."""
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    looked_up = []
+    real_getaddrinfo = socket.getaddrinfo
+
+    def getaddrinfo(host, *args, **kwargs):
+        if host != "127.0.0.1":
+            looked_up.append(host)
+            raise socket.gaierror(socket.EAI_NONAME, "lookups are refused in this test")
+        return real_getaddrinfo(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+    return looked_up
+
+
+class TestHttpSession:
+    """The default transport against the keep-alive stub."""
+
+    def query(self, text="x"):
+        return build_query(text, date_range=RANGE_2004)
+
+    def test_sequential_fetches_share_one_connection(self, offline):
+        with CountingStubServer(default_count=3) as server:
+            client = EpmcCountClient(fast_config(endpoint=server.url))
+            for i in range(20):
+                assert client.fetch_count(self.query(f"t{i}")) == 3
+            assert server.request_count == 20
+            assert server.connection_count == 1
+
+    def test_sends_json_accept_and_user_agent(self, offline):
+        with CountingStubServer() as server:
+            EpmcCountClient(fast_config(endpoint=server.url)).fetch_count(self.query())
+            (headers,) = server.request_headers
+        assert headers["Accept"] == "application/json"
+        assert headers["User-Agent"].startswith("litminer/")
+        assert "gzip" not in headers.get("Accept-Encoding", "")
+
+    def test_idle_connection_closed_by_server_is_reopened(self, offline, caplog):
+        with CountingStubServer(default_count=4) as server:
+            client = EpmcCountClient(fast_config(endpoint=server.url, max_attempts=1))
+            assert client.fetch_count(self.query("a")) == 4
+            server.drop_connections()
+            with caplog.at_level("WARNING", logger="litminer.epmc"):
+                assert client.fetch_count(self.query("b")) == 4
+            assert caplog.text == ""
+            assert server.connection_count == 2
+
+    def test_redirect_is_not_followed(self, offline):
+        with CountingStubServer() as server:
+            server.plan_failures(301)
+            client = EpmcCountClient(fast_config(endpoint=server.url))
+            with pytest.raises(TransportError) as info:
+                client.fetch_count(self.query())
+            assert server.request_count == 1
+        # The Location's own query is left out of the message.
+        assert str(info.value).startswith("HTTP 301 to http://moved.invalid/search [query:")
+
+    def test_endpoint_query_is_kept(self, offline):
+        with CountingStubServer(default_count=2) as server:
+            client = EpmcCountClient(fast_config(endpoint=server.url + "?db=x"))
+            assert client.fetch_count(self.query()) == 2
+            (params,) = server.requests
+        assert params == {"db": "x", "query": self.query(), **DEFAULT_COUNT_PARAMS}
+
+    def test_api_key_stays_out_of_messages(self, offline, caplog):
+        config = fast_config(
+            endpoint=f"http://127.0.0.1:{closed_port()}/search",
+            api_key="SECRET123",
+            max_attempts=2,
+        )
+        with caplog.at_level("WARNING", logger="litminer.epmc"):
+            with pytest.raises(TransportError) as info:
+                EpmcCountClient(config).fetch_count(self.query())
+        assert "SECRET123" not in caplog.text
+        assert "SECRET123" not in str(info.value)
+        first, last = caplog.messages
+        assert first.endswith("retrying")
+        assert not last.endswith("retrying")
+
+    @pytest.mark.parametrize("user_info", ["", "ann:p%40ss@"])
+    def test_http_proxy_gets_the_absolute_url(self, offline, monkeypatch, user_info):
+        with CountingStubServer(default_count=6) as server:
+            monkeypatch.setenv("http_proxy", f"http://{user_info}{urlsplit(server.url).netloc}")
+            client = EpmcCountClient(fast_config(endpoint="http://litminer.invalid/search"))
+            assert client.fetch_count(self.query()) == 6
+            (headers,) = server.request_headers
+        assert offline == []
+        assert headers["Host"] == "litminer.invalid"
+        if user_info:
+            assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(
+                b"ann:p@ss"
+            ).decode()
+        else:
+            assert "Proxy-Authorization" not in headers
+
+    @pytest.mark.parametrize("proxy", ["http://127.0.0.1:abc", "http://"])
+    def test_malformed_proxy_variable_is_a_transport_error(self, offline, monkeypatch, proxy):
+        monkeypatch.setenv("http_proxy", proxy)
+        config = fast_config(endpoint="http://litminer.invalid/search", max_attempts=1)
+        with pytest.raises(TransportError, match="http_proxy is not a proxy URL"):
+            EpmcCountClient(config).fetch_count(self.query())
+        assert offline == []
+
+    def test_no_proxy_host_goes_direct(self, offline, monkeypatch):
+        with CountingStubServer() as server:
+            monkeypatch.setenv("http_proxy", f"http://{urlsplit(server.url).netloc}")
+            monkeypatch.setenv("no_proxy", "litminer.invalid")
+            config = fast_config(endpoint="http://litminer.invalid/search", max_attempts=1)
+            with pytest.raises(TransportError, match="gaierror"):
+                EpmcCountClient(config).fetch_count(self.query())
+            assert server.request_count == 0
+        assert offline == ["litminer.invalid"]
+
+    def test_https_proxy_is_asked_for_a_tunnel(self, offline, monkeypatch):
+        received = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer_once():
+                conn, _ = listener.accept()
+                with conn:
+                    received.append(conn.recv(65536))
+                    conn.sendall(b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
+
+            proxy = threading.Thread(target=answer_once)
+            proxy.start()
+            port = listener.getsockname()[1]
+            monkeypatch.setenv("https_proxy", f"http://ann:pw@127.0.0.1:{port}")
+            config = fast_config(endpoint="https://litminer.invalid/search", max_attempts=1)
+            with pytest.raises(TransportError, match="Tunnel connection failed: 502"):
+                EpmcCountClient(config).fetch_count(self.query())
+            proxy.join(timeout=5)
+        (request,) = received
+        assert request.startswith(b"CONNECT litminer.invalid:443 ")
+        assert b"\r\nProxy-Authorization: Basic " + base64.b64encode(b"ann:pw") in request
+        assert offline == []

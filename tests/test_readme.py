@@ -1,11 +1,15 @@
 """The README's quick start, run as written: same corpus, same arguments, same output."""
 
 import hashlib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import litminer
 from litminer import build_index, read_corpus, save_index
 from litminer.cli import main
 
@@ -54,3 +58,22 @@ def test_quick_start_index_file_is_golden(tmp_path):
     save_index(build_index(docs, corpus_name="corpus", built_at=BUILT_AT), tmp_path / "corpus.idx")
     digest = hashlib.sha256((tmp_path / "corpus.idx").read_bytes()).hexdigest()
     assert digest == QUICK_START_INDEX_SHA256
+
+
+def test_quick_start_runs_without_requests(tmp_path):
+    """The runtime needs no third-party package: the quick start runs with `requests` blocked."""
+    script, expected = quick_start()
+    # A None entry in sys.modules makes `import requests` raise ImportError.
+    program = (
+        "import sys; sys.modules['requests'] = None;"
+        " import litminer, litminer.cli; litminer.cli.run()"
+    )
+    python = shlex.quote(sys.executable)
+    shell = f'set -e\nlitminer() {{ {python} -c "{program}" "$@"; }}\n{script}'
+    paths = [str(Path(litminer.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        ["bash", "-c", shell], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith(expected)
