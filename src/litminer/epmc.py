@@ -16,6 +16,7 @@ import logging
 import os
 import random
 import select
+import ssl
 import threading
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -429,6 +430,9 @@ class EpmcCountClient:
                     response = self._session.get(
                         self.config.endpoint, params=params, timeout=self.config.timeout
                     )
+            except (ssl.SSLCertVerificationError, http.client.InvalidURL) as exc:
+                # A certificate or a proxy variable no retry can mend.
+                raise TransportError(query_string, f"{type(exc).__name__}: {exc}") from exc
             except (OSError, http.client.HTTPException) as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
             else:

@@ -9,10 +9,6 @@ from dataclasses import dataclass
 # what floating point can represent, and the contract is 0 < p <= 1.
 _MIN_P = math.ulp(0.0)
 
-# Once past the distribution's mode, a term this far (in log space) below
-# the largest one seen cannot move the sum at double precision.
-_NEGLIGIBLE_LOG_GAP = 55.0
-
 _LOG_2PI = math.log(2.0 * math.pi)
 
 # stirlerr(n) for n = 0..15 from exact factorials; stirlerr(0) is taken as 0.
@@ -200,41 +196,40 @@ def fisher_one_sided(table: ContingencyTable) -> float:
     from ``grand_total``, of which ``kp_total`` contain the key phrase,
     contains at least ``targ_kp`` key-phrase documents.  Always in (0, 1].
 
-    The first tail term comes from :func:`log_dhyper`; each further term
-    is the previous one times the pmf ratio, summed until the terms past
-    the mode can no longer change the total.  Tested to stay within 1e-10
-    relative error of exact rational arithmetic.
+    Only a tail beyond the mean is summed: the upper tail itself or, when
+    ``targ_kp`` is below the mean, the lower tail P(X < targ_kp), which is
+    then subtracted from one.  The hypergeometric median is within one of
+    the mean, so that lower tail is at most about one half and the
+    subtraction loses no precision.  The first term comes from
+    :func:`log_dhyper`; each further term is the previous one times the
+    pmf ratio, until the support ends or a term no longer changes the
+    total.  Tested to stay within 1e-10 relative error of exact rational
+    arithmetic.
     """
     grand = table.grand_total
     kp = table.kp_total
     draws = table.term_total
     observed = table.targ_kp
 
-    lowest = max(0, draws + kp - grand)
-    highest = min(draws, kp)
-    if observed <= lowest:
+    if observed <= max(0, draws + kp - grand):
         # The whole support is in the tail, including the degenerate
         # margins (term_total == 0 or kp_total == 0).
         return 1.0
 
-    log_term = log_dhyper(observed, kp, draws, grand)
-    log_terms = [log_term]
-    peak = log_term
-    for x in range(observed, highest):
-        previous = log_term
-        # pmf(x + 1) / pmf(x), evaluated in log space.
-        log_term += math.log((kp - x) * (draws - x)) - math.log(
-            (x + 1) * (grand - kp - draws + x + 1)
-        )
-        if log_term < previous and log_term < peak - _NEGLIGIBLE_LOG_GAP:
-            break
-        log_terms.append(log_term)
-        if log_term > peak:
-            peak = log_term
+    # X < observed exactly when the draws without the key phrase,
+    # draws - X, number more than draws - observed.
+    below_mean = observed * grand < kp * draws
+    x, marked = (draws - observed + 1, grand - kp) if below_mean else (observed, kp)
+    highest = min(draws, marked)
+    term = math.exp(log_dhyper(x, marked, draws, grand))
+    total = term
+    while x < highest and term > total * math.ulp(1.0):
+        # pmf(x + 1) / pmf(x) from exact integer products.
+        term *= (marked - x) * (draws - x) / ((x + 1) * (grand - marked - draws + x + 1))
+        total += term
+        x += 1
 
-    total = math.fsum(math.exp(t - peak) for t in log_terms)
-    log_p = peak + math.log(total)
-    p = math.exp(log_p)
+    p = 1.0 - total if below_mean else total
     if p <= 0.0:
         return _MIN_P
     return min(p, 1.0)

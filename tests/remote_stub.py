@@ -83,7 +83,10 @@ class CountingStubServer:
         self._httpd.failure_plan = []
         self._httpd.malformed_json = False
         self._httpd.lock = threading.Lock()
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # Poll for shutdown often, so leaving the context costs no half second.
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     @property
     def url(self) -> str:

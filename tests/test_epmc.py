@@ -3,6 +3,7 @@ import dataclasses
 import http.client
 import json
 import socket
+import ssl
 import threading
 import time
 from datetime import date
@@ -183,6 +184,23 @@ class TestRetry:
         session = FakeSession([error, ok_response(9)])
         client = EpmcCountClient(fast_config(), session=session)
         assert client.fetch_count(build_query("x", date_range=RANGE_2004)) == 9
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ssl.SSLCertVerificationError("certificate verify failed"),
+            http.client.InvalidURL("http_proxy is not a proxy URL"),
+        ],
+        ids=["certificate", "proxy variable"],
+    )
+    def test_errors_no_retry_can_mend_fail_at_once(self, error, caplog):
+        session = FakeSession([error, ok_response(9)])
+        client = EpmcCountClient(fast_config(max_attempts=5), session=session)
+        with caplog.at_level("WARNING", logger="litminer.epmc"):
+            with pytest.raises(TransportError, match=type(error).__name__):
+                client.fetch_count(build_query("x", date_range=RANGE_2004))
+        assert len(session.calls) == 1
+        assert caplog.text == ""
 
     def test_client_errors_do_not_retry(self):
         session = FakeSession([FakeResponse(404)])
@@ -623,6 +641,15 @@ class TestHttpSession:
         with pytest.raises(TransportError, match="http_proxy is not a proxy URL"):
             EpmcCountClient(config).fetch_count(self.query())
         assert offline == []
+
+    def test_malformed_proxy_variable_fails_at_once(self, offline, monkeypatch, caplog):
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:abc")
+        config = fast_config(endpoint="http://litminer.invalid/search", max_attempts=5)
+        with caplog.at_level("WARNING", logger="litminer.epmc"):
+            with pytest.raises(TransportError, match="http_proxy is not a proxy URL"):
+                EpmcCountClient(config).fetch_count(self.query())
+        # Each failed attempt that is retried logs a warning.
+        assert caplog.text == ""
 
     def test_no_proxy_host_goes_direct(self, offline, monkeypatch):
         with CountingStubServer() as server:

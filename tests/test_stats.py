@@ -114,11 +114,40 @@ class TestFisherOneSided:
             (40_000_000, 40, 9_999, 2),
             (40_000_000, 40, 10_001, 2),
             (40_000_000, 60, 12_000, 3),
+            # Just below the mean of 9,990.999, so the lower tail is
+            # summed; the oracle's binomials stay small because almost
+            # every document has the key phrase.
+            (40_000_000, 39_960_000, 10_001, 9_990),
         ],
     )
     def test_corpus_scale_against_oracle(self, article_total, kp_total, term_total, both_count):
         # Europe-PMC-sized grand totals; the oracle's bigints make larger
         # margins too slow for the suite.
+        table = derive_table(article_total, kp_total, term_total, both_count)
+        exact = hypergeom_upper_tail_exact(
+            table.targ_kp, table.targ_no_kp, table.no_targ_kp, table.no_targ_no_kp
+        )
+        assert rel_err(fisher_one_sided(table), exact) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "article_total, kp_total, term_total, both_count",
+        [
+            # The mean is 15: just below it, at it and just above it.
+            (10_000, 500, 300, 14),
+            (10_000, 500, 300, 15),
+            (10_000, 500, 300, 16),
+            # The mean is 540 and the support starts at 500.
+            (1_000, 900, 600, 539),
+            (1_000, 900, 600, 541),
+            # The mean is 33.98 and the mode 34.
+            (10_000, 100, 3_398, 34),
+            # The mode is 5 and the mean 5.85.
+            (10_000, 100, 585, 5),
+        ],
+    )
+    def test_either_side_of_the_mean_against_oracle(
+        self, article_total, kp_total, term_total, both_count
+    ):
         table = derive_table(article_total, kp_total, term_total, both_count)
         exact = hypergeom_upper_tail_exact(
             table.targ_kp, table.targ_no_kp, table.no_targ_kp, table.no_targ_no_kp
@@ -132,16 +161,18 @@ class TestFisherOneSided:
         assert p > 0.0
 
     def test_tail_is_monotone_in_observed_count(self):
-        draws, kp, grand = 40, 60, 200
-        previous = None
-        for observed in range(0, min(draws, kp) + 1):
-            table = ContingencyTable(
-                observed, draws - observed, kp - observed, grand - draws - kp + observed
-            )
-            p = fisher_one_sided(table)
-            if previous is not None:
-                assert p <= previous + 1e-15
-            previous = p
+        # In the second shape the mean is 10.005, so the sum changes sides
+        # between observed counts 10 and 11.
+        for draws, kp, grand in ((40, 60, 200), (2_001, 500, 100_000)):
+            previous = None
+            for observed in range(0, min(draws, kp) + 1):
+                table = ContingencyTable(
+                    observed, draws - observed, kp - observed, grand - draws - kp + observed
+                )
+                p = fisher_one_sided(table)
+                if previous is not None:
+                    assert p <= previous + 1e-15, (draws, kp, grand, observed)
+                previous = p
 
     @given(
         st.integers(min_value=0, max_value=60),
