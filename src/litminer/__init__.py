@@ -7,100 +7,74 @@ are ranked by co-occurrence ratio.  Counts come either from a local
 positional inverted index or from a remote literature search API.
 """
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .index import (
-    DateRange,
-    Document,
-    IndexFormatError,
-    IngestionError,
-    PostingsIndex,
-    build_index,
-)
-from .mining import (
-    DEFAULT_P_THRESHOLD,
-    ConfigError,
-    CountProvider,
-    ExcludedTerm,
-    ExclusionReason,
-    FailedTerm,
-    IndexCountProvider,
-    MinerConfig,
-    MiningError,
-    MiningRun,
-    RankingMode,
-    TermResult,
-    deduplicate_terms,
-    rank_results,
-    run_mining,
-)
-from .stats import (
-    ContingencyTable,
-    InconsistentCountsError,
-    UndefinedRatioError,
-    co_occurrence_ratio,
-    derive_table,
-    fisher_one_sided,
-    keyphrase_cooccurrence_ratio,
-)
-from .epmc import (
-    ClientConfig,
-    EpmcCountClient,
-    EpmcCountProvider,
-    ProtocolError,
-    TransportError,
-    build_query,
-)
-from .storage import CorpusFormatError, load_index, read_corpus, save_index
-from .tokenizer import (
-    TOKENIZER_VERSION,
-    InvalidPhraseError,
-    TokenizedPhrase,
-    normalize_tokenize,
-)
+# Each public name under the submodule that defines it.  A submodule is
+# imported the first time one of its names is used (PEP 562), so a run on
+# a local index never loads the remote backend's HTTP modules.
+_PUBLIC_NAMES = {
+    "index": (
+        "DateRange",
+        "Document",
+        "IndexFormatError",
+        "IngestionError",
+        "PostingsIndex",
+        "build_index",
+    ),
+    "mining": (
+        "DEFAULT_P_THRESHOLD",
+        "ConfigError",
+        "CountProvider",
+        "ExcludedTerm",
+        "ExclusionReason",
+        "FailedTerm",
+        "IndexCountProvider",
+        "MinerConfig",
+        "MiningError",
+        "MiningRun",
+        "RankingMode",
+        "TermResult",
+        "deduplicate_terms",
+        "rank_results",
+        "run_mining",
+    ),
+    "stats": (
+        "ContingencyTable",
+        "InconsistentCountsError",
+        "UndefinedRatioError",
+        "co_occurrence_ratio",
+        "derive_table",
+        "fisher_one_sided",
+        "keyphrase_cooccurrence_ratio",
+    ),
+    "epmc": (
+        "ClientConfig",
+        "EpmcCountClient",
+        "EpmcCountProvider",
+        "ProtocolError",
+        "TransportError",
+        "build_query",
+    ),
+    "storage": ("CorpusFormatError", "load_index", "read_corpus", "save_index"),
+    "tokenizer": (
+        "TOKENIZER_VERSION",
+        "InvalidPhraseError",
+        "TokenizedPhrase",
+        "normalize_tokenize",
+    ),
+}
 
-__all__ = [
-    "__version__",
-    "ClientConfig",
-    "ConfigError",
-    "ContingencyTable",
-    "CorpusFormatError",
-    "CountProvider",
-    "DEFAULT_P_THRESHOLD",
-    "DateRange",
-    "Document",
-    "EpmcCountClient",
-    "EpmcCountProvider",
-    "ExcludedTerm",
-    "ExclusionReason",
-    "FailedTerm",
-    "InconsistentCountsError",
-    "IndexCountProvider",
-    "IndexFormatError",
-    "IngestionError",
-    "InvalidPhraseError",
-    "MinerConfig",
-    "MiningError",
-    "MiningRun",
-    "PostingsIndex",
-    "ProtocolError",
-    "RankingMode",
-    "TOKENIZER_VERSION",
-    "TermResult",
-    "TokenizedPhrase",
-    "TransportError",
-    "UndefinedRatioError",
-    "build_index",
-    "build_query",
-    "co_occurrence_ratio",
-    "deduplicate_terms",
-    "derive_table",
-    "fisher_one_sided",
-    "keyphrase_cooccurrence_ratio",
-    "load_index",
-    "normalize_tokenize",
-    "rank_results",
-    "read_corpus",
-    "run_mining",
-    "save_index",
-]
+__all__ = ["__version__", *sorted(name for names in _PUBLIC_NAMES.values() for name in names)]
+
+
+def __getattr__(name: str):
+    """Return a public name or one of the submodules above, importing it on first use."""
+    if name in _PUBLIC_NAMES:
+        return import_module(f".{name}", __name__)
+    for module, names in _PUBLIC_NAMES.items():
+        if name in names:
+            value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

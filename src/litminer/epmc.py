@@ -10,13 +10,11 @@ live corpora grow over time and a run should be reproducible afterwards.
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 import logging
 import os
 import random
 import select
-import ssl
 import threading
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -25,7 +23,6 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Mapping
 from urllib.parse import SplitResult, unquote, urlencode, urlsplit
-from urllib.request import getproxies, proxy_bypass
 
 from . import __version__
 from .index import DateRange
@@ -44,7 +41,6 @@ DEFAULT_COUNT_PARAMS: Mapping[str, str] = {
 
 _ENV_PREFIX = "LITMINER_"
 _HEADERS = {"Accept": "application/json", "User-Agent": f"litminer/{__version__}"}
-_Route = tuple[http.client.HTTPConnection, str, dict]
 
 
 class TransportError(RuntimeError):
@@ -170,7 +166,9 @@ class RateLimiter:
             wait = self._next_start - now
             self._next_start = max(now, self._next_start) + self._interval
         if wait > 0:
-            time.sleep(wait)
+            # Queued starts are booked up to max_in_flight intervals ahead,
+            # which can exceed the longest wait time.sleep takes.
+            time.sleep(min(wait, threading.TIMEOUT_MAX))
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
@@ -200,7 +198,7 @@ class HttpSession:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._idle: dict[tuple, list[_Route]] = {}
+        self._idle: dict[tuple, list[tuple]] = {}
 
     def get(
         self, url: str, params: Mapping[str, str] | None = None, timeout: float | None = None
@@ -226,8 +224,11 @@ class HttpSession:
             self._idle.setdefault(key, []).append((conn, prefix, headers))
         return result
 
-    def _open(self, parts: SplitResult, timeout: float | None) -> _Route:
+    def _open(self, parts: SplitResult, timeout: float | None) -> tuple:
         """(new connection, request-target prefix, headers) for ``parts``' origin."""
+        import http.client
+        from urllib.request import getproxies, proxy_bypass
+
         https = parts.scheme == "https"
         connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
         proxy = getproxies().get(parts.scheme)
@@ -268,6 +269,10 @@ def _positive_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def _wait(value: Any) -> bool:
+    return _number(value) and 0 <= value <= threading.TIMEOUT_MAX
+
+
 def _str_mapping(value: Any) -> bool:
     return isinstance(value, Mapping) and all(map(_str, chain.from_iterable(value.items())))
 
@@ -294,14 +299,18 @@ _SETTING_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "count_params": (_str_mapping, "an object of string values"),
     "api_key": (_optional_str, "a string or null"),
     "api_key_param": (_str, "a string"),
-    "requests_per_second": (lambda v: _number(v) and v > 0, "a number > 0"),
+    # Above TIMEOUT_MAX seconds a wait overflows the platform's time_t, so
+    # the pacing interval, the backoffs and the timeout are bounded by it.
+    "requests_per_second": (
+        lambda v: _number(v) and v >= 1 / threading.TIMEOUT_MAX,
+        f"a number >= 1/{threading.TIMEOUT_MAX:.0f}",
+    ),
     "max_in_flight": (_positive_int, "an integer >= 1"),
     "max_attempts": (_positive_int, "an integer >= 1"),
-    "backoff_base": (lambda v: _number(v) and v >= 0, "a number >= 0"),
-    "backoff_cap": (lambda v: _number(v) and v >= 0, "a number >= 0"),
-    # Above TIMEOUT_MAX a request's wait overflows the platform's time_t.
+    "backoff_base": (_wait, f"a number >= 0 and <= {threading.TIMEOUT_MAX:.0f}"),
+    "backoff_cap": (_wait, f"a number >= 0 and <= {threading.TIMEOUT_MAX:.0f}"),
     "timeout": (
-        lambda v: _number(v) and 0 < v <= threading.TIMEOUT_MAX,
+        lambda v: _wait(v) and v > 0,
         f"a number > 0 and <= {threading.TIMEOUT_MAX:.0f}",
     ),
     "cache_path": (_optional_str, "a string or null"),
@@ -416,15 +425,20 @@ class EpmcCountClient:
         return count
 
     def _request(self, query_string: str) -> Any:
+        import http.client
+        import ssl
+
         params = {"query": query_string, **self.config.count_params}
         if self.config.api_key:
             params[self.config.api_key_param] = self.config.api_key
         attempts = self.config.max_attempts
         last_failure = "no attempts made"
+        # Doubled per retry: base * 2 ** n no longer fits a float after 1,025 attempts.
+        backoff = self.config.backoff_base
         for attempt in range(1, attempts + 1):
             if attempt > 1:
-                delay = min(self.config.backoff_cap, self.config.backoff_base * 2 ** (attempt - 2))
-                time.sleep(delay * random.uniform(0.5, 1.0))
+                time.sleep(min(self.config.backoff_cap, backoff) * random.uniform(0.5, 1.0))
+                backoff *= 2
             try:
                 with self._limiter:
                     response = self._session.get(

@@ -227,9 +227,18 @@ class TestClientConfigErrors:
             pytest.param('{"max_in_flight": "2"}', {}, "max_in_flight", id="string count"),
             pytest.param('{"count_params": "x"}', {}, "count_params", id="string params"),
             pytest.param(
+                '["timeout", 1]', {}, "client config must be a JSON object", id="JSON array"
+            ),
+            pytest.param(
                 '{"timeout": ', {}, "client.json: client config is not valid JSON", id="bad JSON"
             ),
             pytest.param('{"timeout": -1}', {}, "timeout", id="negative timeout"),
+            pytest.param(
+                '{"backoff_base": Infinity, "backoff_cap": Infinity}',
+                {},
+                "backoff_base",
+                id="infinite backoff",
+            ),
             pytest.param(
                 '{"endpoint": "example.org/search"}', {}, "endpoint", id="endpoint without scheme"
             ),
@@ -245,6 +254,9 @@ class TestClientConfigErrors:
             ),
             pytest.param(
                 None, {"LITMINER_RATE_LIMIT": "fast"}, "LITMINER_RATE_LIMIT", id="env not a number"
+            ),
+            pytest.param(
+                None, {"LITMINER_RATE_LIMIT": "1e-300"}, "requests_per_second", id="env rate too low"
             ),
             pytest.param(
                 None, {"LITMINER_MAX_IN_FLIGHT": "0"}, "LITMINER_MAX_IN_FLIGHT", id="env out of range"

@@ -225,6 +225,14 @@ class TestRetry:
         assert '"x"' in str(info.value)
         assert len(session.calls) == 3
 
+    def test_a_thousand_retries_do_not_overflow_the_backoff(self):
+        session = FakeSession([FakeResponse(503)])
+        config = fast_config(max_attempts=1100, backoff_base=0.001, backoff_cap=0)
+        client = EpmcCountClient(config, session=session)
+        with pytest.raises(TransportError, match="gave up after 1100 attempts"):
+            client.fetch_count(build_query("x", date_range=RANGE_2004))
+        assert len(session.calls) == 1100
+
     def test_api_key_sent_when_configured(self):
         session = FakeSession([ok_response(1)])
         client = EpmcCountClient(fast_config(api_key="sesame"), session=session)
@@ -286,7 +294,7 @@ class TestCache:
     def test_unreadable_lines_skipped(self, tmp_path):
         path = tmp_path / "counts.jsonl"
         good = {"query": "q", "count": 3, "fetched_at": "2020-01-01T00:00:00+00:00", "source": "a"}
-        path.write_text("{torn line\n" + json.dumps(good) + "\n", encoding="utf-8")
+        path.write_text("{torn line\n\n" + json.dumps(good) + "\n", encoding="utf-8")
         cache = CountCache(path)
         assert cache.get("q") == 3
         assert len(cache) == 1
@@ -364,6 +372,18 @@ class TestRateLimiter:
         elapsed = time.monotonic() - begun
         assert elapsed >= 4 * 0.02 - 0.01
 
+    def test_queued_start_waits_no_longer_than_time_sleep_allows(self, monkeypatch):
+        # At the slowest pace a config allows, the third start is booked two
+        # intervals ahead, past what time.sleep accepts.
+        waits = []
+        monkeypatch.setattr(time, "sleep", waits.append)
+        limiter = RateLimiter(per_second=1 / threading.TIMEOUT_MAX, max_in_flight=2)
+        for _ in range(3):
+            with limiter:
+                pass
+        assert len(waits) == 2
+        assert max(waits) <= threading.TIMEOUT_MAX
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             RateLimiter(per_second=0, max_in_flight=1)
@@ -432,11 +452,15 @@ class TestClientConfig:
             ("api_key", 7),
             ("requests_per_second", 0),
             ("requests_per_second", float("nan")),
+            ("requests_per_second", 1e-300),
             ("max_in_flight", 2.0),
             ("max_in_flight", True),
             ("max_attempts", 0),
             ("backoff_base", -0.1),
+            ("backoff_base", float("inf")),
             ("backoff_cap", "1"),
+            ("backoff_cap", float("inf")),
+            ("backoff_cap", 1e10),
             ("timeout", -1),
             ("timeout", float("inf")),
             ("timeout", 1e10),
@@ -446,6 +470,7 @@ class TestClientConfig:
             ("endpoint", "example.org/search"),
             ("endpoint", "ftp://host/x"),
             ("endpoint", "http://u:p@host/x"),
+            ("endpoint", "http://host:70000/x"),
         ],
     )
     def test_bad_setting_is_named(self, name, value):

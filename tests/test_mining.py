@@ -73,6 +73,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             make_config(full_range, ["alpha"], threshold=threshold).validate()
 
+    def test_plain_string_ranking_mode(self, full_range):
+        # RankingMode is a str Enum, so its value compares equal but is not a mode.
+        config = make_config(full_range, ["alpha"], mode="term-denominator")
+        with pytest.raises(ConfigError, match="unknown ranking mode 'term-denominator'"):
+            config.validate()
+
     def test_bad_parallelism(self, full_range):
         provider = StubCountProvider(6, "stem cell", 3, {"alpha": (3, 3)})
         with pytest.raises(ConfigError):

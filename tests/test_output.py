@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from litminer import MinerConfig, RankingMode, run_mining
 from litminer.mining import TermResult
 from litminer.output import (
+    TSV_COLUMNS,
     ResultParseError,
     display_ratio,
     parse_results_json,
@@ -18,6 +19,8 @@ from litminer.output import (
     write_text,
 )
 from helpers import FailingProvider, StubCountProvider
+
+HEADER = "\t".join(TSV_COLUMNS)
 
 
 @pytest.fixture
@@ -80,6 +83,22 @@ class TestTsv:
             parse_results_tsv("rank\tterm\n1\talpha\n")
 
     @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1\talpha", "line 2: expected 9 fields"),
+            ("1\talpha\tx\t30\t40\t1000\t0.4\t0.4\t0.01", "line 2: invalid literal for int"),
+        ],
+        ids=["wrong field count", "non-integer count"],
+    )
+    def test_parse_rejects_malformed_row(self, row, message):
+        with pytest.raises(ResultParseError, match=message):
+            parse_results_tsv(f"{HEADER}\n{row}\n")
+
+    def test_parse_skips_blank_lines(self, small_run):
+        text = render_results_tsv(small_run.significant).replace("\n", "\n\n")
+        assert parse_results_tsv(text) == small_run.significant
+
+    @pytest.mark.parametrize(
         "term", ["alpha\tprotein", "alpha\rprotein", "alpha\nprotein", "alpha\u2028", "\x1calpha"]
     )
     def test_term_that_would_break_a_row_is_refused(self, small_run, term):
@@ -109,6 +128,22 @@ class TestJson:
     def test_parse_rejects_other_documents(self):
         with pytest.raises(ResultParseError):
             parse_results_json(json.dumps({"format": "something-else", "version": 1}))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"format": "litminer-results", ', "invalid JSON"),
+            (json.dumps({"format": "litminer-results", "version": 2}), "version 2"),
+            (
+                json.dumps({"format": "litminer-results", "version": 1, "results": [{"term": "a"}]}),
+                "malformed result record: 'term_plus_kp_count'",
+            ),
+        ],
+        ids=["invalid JSON", "unknown version", "record missing a key"],
+    )
+    def test_parse_rejects_malformed_document(self, text, message):
+        with pytest.raises(ResultParseError, match=message):
+            parse_results_json(text)
 
 
 class TestReport:

@@ -68,6 +68,19 @@ class TestDeriveTable:
         with pytest.raises(InconsistentCountsError, match="no_targ_no_kp"):
             derive_table(article_total=10, kp_total=8, term_total=7, both_count=2)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("kp_total", True, "kp_total must be an integer, got True"),
+            ("term_total", 2.0, "term_total must be an integer, got 2.0"),
+            ("both_count", -1, "both_count is negative: -1"),
+        ],
+    )
+    def test_raw_count_that_is_not_a_count(self, name, value, message):
+        counts = {"article_total": 10, "kp_total": 4, "term_total": 4, "both_count": 2}
+        with pytest.raises(ValueError, match=message):
+            derive_table(**{**counts, name: value})
+
 
 class TestFisherOneSided:
     def test_hand_case(self):
