@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -16,6 +17,7 @@ from .epmc import (
     EpmcCountProvider,
     ProtocolError,
     TransportError,
+    check_proxy,
 )
 from .index import DateRange, IngestionError, build_index
 from .mining import (
@@ -172,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _client_config(args: argparse.Namespace) -> ClientConfig:
     """Defaults, then the config file, the environment and the flags.
 
-    A file that cannot be read or a setting of the wrong type or range is a
-    usage error.
+    A file that cannot be read, a setting of the wrong type or range, or a
+    proxy variable for the endpoint that is not a proxy URL is a usage error.
     """
     updates: dict[str, object] = {}
     if args.endpoint:
@@ -186,16 +188,20 @@ def _client_config(args: argparse.Namespace) -> ClientConfig:
         config = ClientConfig()
         if args.client_config:
             config = ClientConfig.from_file(args.client_config)
-        return replace(config.with_env_overrides(), **updates)
+        config = replace(config.with_env_overrides(), **updates)
+        check_proxy(config.endpoint)
+        return config
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _resolve_provider(args: argparse.Namespace):
-    """Returns (provider, identity dict for the manifest, worker count for mining).
+@contextmanager
+def _open_provider(args: argparse.Namespace):
+    """Yields (provider, identity dict for the manifest, worker count for mining).
 
     Local counting is pure Python under one interpreter lock, so it gets
-    one worker; the remote backend gets one per request slot.
+    one worker; the remote backend gets one per request slot, and its
+    client's connections are closed on exit.
     """
     kind = args.provider
     if kind is None:
@@ -223,7 +229,8 @@ def _resolve_provider(args: argparse.Namespace):
             "doc_count": index.doc_count,
             "built_at": index.built_at.isoformat(),
         }
-        return IndexCountProvider(index), identity, 1
+        yield IndexCountProvider(index), identity, 1
+        return
     if args.index:
         raise UsageError("--index conflicts with --provider remote")
     config = _client_config(args)
@@ -234,7 +241,10 @@ def _resolve_provider(args: argparse.Namespace):
         "cache": config.cache_path,
         "bypass_cache": config.bypass_cache,
     }
-    return EpmcCountProvider(client), identity, config.max_in_flight
+    try:
+        yield EpmcCountProvider(client), identity, config.max_in_flight
+    finally:
+        client.close()
 
 
 def cmd_index(args: argparse.Namespace) -> int:
@@ -260,27 +270,27 @@ def cmd_count(args: argparse.Namespace) -> int:
         if not normalize_tokenize(phrase):
             raise UsageError(f"phrase {phrase!r} contains no indexable tokens")
     date_range = _date_range(args)
-    provider, _identity, _workers = _resolve_provider(args)
-    article_total = provider.article_total(date_range)
-    print(f"date_range: {date_range}")
-    print(f"article_total: {article_total}")
-    counts = [provider.count_with(p, date_range) for p in args.phrases]
-    for phrase, count in zip(args.phrases, counts):
-        print(f'count["{phrase}"]: {count}')
-    if len(args.phrases) == 2:
-        term, key_phrase = args.phrases
-        both = provider.count_with_both(term, key_phrase, date_range)
-        print(f"count_both: {both}")
-        table = derive_table(article_total, counts[1], counts[0], both)
-        print(
-            f"contingency: targ_kp={table.targ_kp} targ_no_kp={table.targ_no_kp}"
-            f" no_targ_kp={table.no_targ_kp} no_targ_no_kp={table.no_targ_no_kp}"
-        )
-        print(f"fisher_one_sided_p: {fisher_one_sided(table)!r}")
-        if table.term_total == 0:
-            print("co_occurrence_ratio: undefined (term matches no documents)")
-        else:
-            print(f"co_occurrence_ratio: {co_occurrence_ratio(table)!r}")
+    with _open_provider(args) as (provider, _identity, _workers):
+        article_total = provider.article_total(date_range)
+        print(f"date_range: {date_range}")
+        print(f"article_total: {article_total}")
+        counts = [provider.count_with(p, date_range) for p in args.phrases]
+        for phrase, count in zip(args.phrases, counts):
+            print(f'count["{phrase}"]: {count}')
+        if len(args.phrases) == 2:
+            term, key_phrase = args.phrases
+            both = provider.count_with_both(term, key_phrase, date_range)
+            print(f"count_both: {both}")
+            table = derive_table(article_total, counts[1], counts[0], both)
+            print(
+                f"contingency: targ_kp={table.targ_kp} targ_no_kp={table.targ_no_kp}"
+                f" no_targ_kp={table.no_targ_kp} no_targ_no_kp={table.no_targ_no_kp}"
+            )
+            print(f"fisher_one_sided_p: {fisher_one_sided(table)!r}")
+            if table.term_total == 0:
+                print("co_occurrence_ratio: undefined (term matches no documents)")
+            else:
+                print(f"co_occurrence_ratio: {co_occurrence_ratio(table)!r}")
     return 0
 
 
@@ -307,17 +317,17 @@ def _read_terms(path: str) -> list[str]:
 def cmd_mine(args: argparse.Namespace) -> int:
     date_range = _date_range(args)
     terms = _read_terms(args.terms)
-    provider, identity, parallelism = _resolve_provider(args)
-    config = MinerConfig(
-        key_phrase=args.key_phrase,
-        target_terms=tuple(terms),
-        date_range=date_range,
-        p_threshold=args.p_threshold,
-        ranking_mode=RankingMode(args.ranking_mode),
-    )
-    started_at = datetime.now(timezone.utc)
-    run = run_mining(provider, config, parallelism=parallelism)
-    finished_at = datetime.now(timezone.utc)
+    with _open_provider(args) as (provider, identity, parallelism):
+        config = MinerConfig(
+            key_phrase=args.key_phrase,
+            target_terms=tuple(terms),
+            date_range=date_range,
+            p_threshold=args.p_threshold,
+            ranking_mode=RankingMode(args.ranking_mode),
+        )
+        started_at = datetime.now(timezone.utc)
+        run = run_mining(provider, config, parallelism=parallelism)
+        finished_at = datetime.now(timezone.utc)
 
     out_path = Path(args.output)
     if args.format == "tsv":

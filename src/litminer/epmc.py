@@ -100,6 +100,7 @@ class CountCache:
         self._path = Path(path) if path is not None else None
         self._lock = threading.Lock()
         self._entries: dict[str, int] = {}
+        self._dir_made = False
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -140,7 +141,9 @@ class CountCache:
         with self._lock:
             self._entries[query_string] = count
             if self._path is not None:
-                self._path.parent.mkdir(parents=True, exist_ok=True)
+                if not self._dir_made:
+                    self._path.parent.mkdir(parents=True, exist_ok=True)
+                    self._dir_made = True
                 # One whole line per write keeps concurrent appends intact.
                 with open(self._path, "a", encoding="utf-8") as fh:
                     fh.write(line + "\n")
@@ -224,33 +227,70 @@ class HttpSession:
             self._idle.setdefault(key, []).append((conn, prefix, headers))
         return result
 
+    def close(self) -> None:
+        """Close the idle connections; a later request opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for entries in idle.values():
+            for conn, _prefix, _headers in entries:
+                conn.close()
+
     def _open(self, parts: SplitResult, timeout: float | None) -> tuple:
         """(new connection, request-target prefix, headers) for ``parts``' origin."""
         import http.client
-        from urllib.request import getproxies, proxy_bypass
 
         https = parts.scheme == "https"
         connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
-        proxy = getproxies().get(parts.scheme)
-        if not proxy or proxy_bypass(parts.netloc):
+        route = _proxy_route(parts)
+        if route is None:
             return connection(parts.hostname, parts.port, timeout=timeout), "", _HEADERS
-        via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-        try:
-            address = (via.hostname, via.port or 80)
-        except ValueError:  # a port that is not a number
-            address = (None, 0)
-        if not address[0]:
-            raise http.client.InvalidURL(f"{parts.scheme}_proxy is not a proxy URL")
-        auth = {}
-        if via.username is not None:
-            user = f"{unquote(via.username)}:{unquote(via.password or '')}"
-            auth["Proxy-Authorization"] = f"Basic {base64.b64encode(user.encode()).decode()}"
+        address, auth = route
         conn = connection(*address, timeout=timeout)
         if https:  # a tunnel, so TLS runs end to end with the origin
             conn.set_tunnel(parts.hostname, parts.port, headers=auth)
             return conn, "", _HEADERS
         # Plain http goes to the proxy with the absolute URL as its target.
         return conn, f"http://{parts.netloc}", {**_HEADERS, **auth}
+
+
+def _proxy_route(parts: SplitResult) -> tuple[tuple[str, int], dict[str, str]] | None:
+    """The proxy's address and credential headers for ``parts``' origin, or None.
+
+    None means the request goes direct.  A proxy variable that is not a
+    proxy URL raises ``http.client.InvalidURL`` naming the variable, never
+    its value, which may hold credentials.
+    """
+    import http.client
+    from urllib.request import getproxies, proxy_bypass
+
+    proxy = getproxies().get(parts.scheme)
+    if not proxy or proxy_bypass(parts.netloc):
+        return None
+    via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    try:
+        address = (via.hostname, via.port or 80)
+    except ValueError:  # a port that is not a number
+        address = (None, 0)
+    if not address[0]:
+        raise http.client.InvalidURL(f"{parts.scheme}_proxy is not a proxy URL")
+    auth = {}
+    if via.username is not None:
+        user = f"{unquote(via.username)}:{unquote(via.password or '')}"
+        auth["Proxy-Authorization"] = f"Basic {base64.b64encode(user.encode()).decode()}"
+    return address, auth
+
+
+def check_proxy(url: str) -> None:
+    """Raise ``ValueError`` when the proxy variable for ``url`` is not a proxy URL.
+
+    The message names the variable, never its value.
+    """
+    import http.client
+
+    try:
+        _proxy_route(urlsplit(url))
+    except http.client.InvalidURL as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _str(value: Any) -> bool:
@@ -407,6 +447,10 @@ class EpmcCountClient:
         self._limiter = RateLimiter(
             self.config.requests_per_second, self.config.max_in_flight
         )
+
+    def close(self) -> None:
+        """Close the session's idle connections."""
+        self._session.close()
 
     def fetch_count(self, query_string: str) -> int:
         """Hit count for ``query_string``, from cache when possible.

@@ -8,7 +8,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import accumulate, chain, compress, islice, pairwise, repeat
-from operator import and_, itemgetter, lshift, lt, ne, sub
+from operator import and_, countOf, getitem, itemgetter, lshift, lt, ne, sub
 from typing import Iterable, Sequence
 
 from .tokenizer import TokenizedPhrase, normalize_tokenize
@@ -18,6 +18,10 @@ from .tokenizer import TokenizedPhrase, normalize_tokenize
 U32 = "I"
 _MIN_ORDINAL = date.min.toordinal()
 _MAX_ORDINAL = date.max.toordinal()
+# ``1 << p`` for the positions below the bound: the mask of a posting at one
+# such position is taken from here, so the mask maps share these ints.
+_BITS_BOUND = 256
+_BITS = tuple(1 << p for p in range(_BITS_BOUND))
 
 
 class IngestionError(ValueError):
@@ -62,13 +66,16 @@ class PostingsIndex:
     ``positions[offsets[j]:offsets[j + 1]]``, strictly increasing.  Tokens
     are in ascending order and their postings follow each other.
 
-    The arrays never change once built.  Two caches fill as queries arrive:
-    a one-slot memo of the last key phrase's in-window documents, and, for
+    The arrays never change once built.  Caches fill as queries arrive: a
+    one-slot memo of the last key phrase's in-window documents, and, for
     each token of a multi-token phrase checked so far, a ``{doc: position
-    bitmask}`` map (bit ``p`` set when the token is at position ``p``).  Both are
-    idempotent and each is published by one assignment (an attribute, a
-    dict item), so a concurrent reader sees the old value or a complete new
-    one, and any number of threads may query one index concurrently.
+    bitmask}`` map (bit ``p`` set when the token is at position ``p``).  The
+    maps share their ints: every key comes from one list of the doc ids,
+    built with the first map, and the mask of a posting at one position
+    below ``_BITS_BOUND`` from the ``_BITS`` table.  Every cache is idempotent
+    and each is published by one assignment (an attribute, a dict item),
+    so a concurrent reader sees the old value or a complete new one, and
+    any number of threads may query one index concurrently.
     """
 
     def __init__(
@@ -89,6 +96,7 @@ class PostingsIndex:
         self._offsets = offsets
         self._positions = positions
         self._masks: dict[str, dict[int, int]] = {}
+        self._doc_ints: list[int] | None = None
         self._key_docs: tuple[
             tuple[tuple[str, ...], DateRange] | None, Sequence[int], frozenset[int]
         ] = (None, (), frozenset())
@@ -215,10 +223,19 @@ class PostingsIndex:
             offsets = self._offsets
             positions = iter(self._positions[offsets[s] : offsets[e]])
             counts = map(sub, offsets[s + 1 : e + 1], offsets[s:e])
+            ones = repeat(1)
             # Positions within a posting are distinct, so their powers of two
             # sum to their union.
-            bits = [sum(map(lshift, repeat(1), islice(positions, n))) for n in counts]
-            masks = dict(zip(self._docs[s:e], bits))
+            bits = [
+                (_BITS[p] if (p := next(positions)) < _BITS_BOUND else 1 << p)
+                if n == 1
+                else sum(map(lshift, ones, islice(positions, n)))
+                for n in counts
+            ]
+            doc_ints = self._doc_ints
+            if doc_ints is None:
+                self._doc_ints = doc_ints = list(range(self.doc_count))
+            masks = dict(zip(map(doc_ints.__getitem__, self._docs[s:e]), bits))
             self._masks[token] = masks
         return masks
 
@@ -272,12 +289,12 @@ def _ascending_in_groups(values: array, starts: Iterable[int]) -> bool:
     Groups are consecutive; ``starts`` holds the index at which each group
     after the first begins.  A value may fall only where a group begins.
     """
-    rises = list(map(lt, values, islice(values, 1, None)))
-    falls = rises.count(False)
+    rises = bytearray(map(lt, values, islice(values, 1, None)))
+    falls = rises.count(0)
     if not falls:
         return True
-    rises.insert(0, True)  # rises[s] now compares values[s - 1] with values[s]
-    return list(map(rises.__getitem__, starts)).count(False) == falls
+    rises.insert(0, 1)  # rises[s] now compares values[s - 1] with values[s]
+    return countOf(map(getitem, repeat(rises), starts), 0) == falls
 
 
 def build_index(

@@ -25,10 +25,15 @@ then the body, whose sections are arrays of u32 written and read whole:
     positions         Q * u32  strictly increasing within each posting
 
 Internal doc ids number the documents in (date, doc id) order.  Loading
-refuses files whose format or tokenizer version does not match this build,
-since either mismatch silently changes query semantics, any file whose
-CRC32 does not match its body, and any body whose structure breaks these
-orders and bounds (``PostingsIndex.check``), so a damaged index fails
+reads the file once, each section straight into the index's arrays, with
+no copy of the whole file: a section's declared size is compared with the
+bytes left in the file before anything is allocated for it, and the CRC32
+accumulates over the bytes as they are parsed, so the bytes checked are the
+bytes used.  It refuses files whose format or tokenizer version does not
+match this build, since either mismatch silently changes query semantics,
+any file whose CRC32 does not match its body (reported ahead of any fault
+in the structure of a damaged body), and any body whose structure breaks
+these orders and bounds (``PostingsIndex.check``), so a damaged index fails
 loudly instead of counting.
 """
 
@@ -180,23 +185,37 @@ def _write_index(fh: io.BufferedWriter, index: PostingsIndex) -> None:
 
 
 class _Cursor:
-    """Reads the sections of a checksummed index body in order."""
+    """Reads an index body's sections in order, straight from the file.
 
-    def __init__(self, body: memoryview):
-        self._body = body
-        self._at = 0
+    Each section's declared size is checked against the bytes left in the
+    file before anything is allocated for it, and ``crc`` accumulates the
+    CRC32 of exactly the bytes handed out, as they are parsed.
+    """
 
-    def take(self, n: int) -> memoryview:
-        end = self._at + n
-        if end > len(self._body):
+    def __init__(self, fh: io.BufferedReader, size: int):
+        self._fh = fh
+        self._left = size
+        self.crc = 0
+
+    def _claim(self, n: int) -> None:
+        if n > self._left:
             raise IndexFormatError("index file is truncated")
-        chunk = self._body[self._at : end]
-        self._at = end
+        self._left -= n
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        chunk = self._fh.read(n)
+        if len(chunk) != n:  # the file shrank while it was read
+            raise IndexFormatError("index file is truncated")
+        self.crc = zlib.crc32(chunk, self.crc)
         return chunk
 
     def u32s(self, n: int) -> array:
-        values = array(U32)
-        values.frombytes(self.take(4 * n))
+        self._claim(4 * n)
+        values = array(U32, [0]) * n
+        if self._fh.readinto(values) != 4 * n:
+            raise IndexFormatError("index file is truncated")
+        self.crc = zlib.crc32(values, self.crc)
         if sys.byteorder == "big":
             values.byteswap()
         return values
@@ -206,12 +225,21 @@ class _Cursor:
         ends = list(accumulate(self.u32s(n)))
         blob = self.take(ends[-1] if ends else 0)
         try:
-            return [str(blob[a:b], "utf-8") for a, b in zip([0] + ends, ends)]
+            return [blob[a:b].decode("utf-8") for a, b in zip([0] + ends, ends)]
         except UnicodeDecodeError as exc:
             raise IndexFormatError("index file contains invalid UTF-8") from exc
 
     def at_end(self) -> bool:
-        return self._at == len(self._body)
+        return self._left == 0
+
+    def check_crc(self, expected: int) -> None:
+        """Checksum the rest of the file and compare the body's CRC32 with ``expected``."""
+        while chunk := self._fh.read(1 << 16):
+            self.crc = zlib.crc32(chunk, self.crc)
+        if self.crc != expected:
+            raise IndexFormatError(
+                "index file is truncated or damaged (CRC32 mismatch); rebuild the index"
+            )
 
 
 def load_index(path: str | Path) -> PostingsIndex:
@@ -221,34 +249,40 @@ def load_index(path: str | Path) -> PostingsIndex:
     tokenizer version, a damaged or truncated file (CRC32 mismatch), or a
     body whose structure breaks the index's invariants.
     """
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        if not INDEX_MAGIC.startswith(data[: len(INDEX_MAGIC)]):
-            raise IndexFormatError(f"{path}: not an index file (bad magic)")
-        raise IndexFormatError(f"{path}: index file is truncated")
-    magic, format_version, tokenizer_version, crc = _HEADER.unpack_from(data)
+    with open(path, "rb") as fh:
+        try:
+            return _read_index(fh)
+        except IndexFormatError as exc:
+            raise IndexFormatError(f"{path}: {exc}") from None
+
+
+def _read_index(fh: io.BufferedReader) -> PostingsIndex:
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        if not INDEX_MAGIC.startswith(header[: len(INDEX_MAGIC)]):
+            raise IndexFormatError("not an index file (bad magic)")
+        raise IndexFormatError("index file is truncated")
+    magic, format_version, tokenizer_version, crc = _HEADER.unpack(header)
     if magic != INDEX_MAGIC:
-        raise IndexFormatError(f"{path}: not an index file (bad magic)")
+        raise IndexFormatError("not an index file (bad magic)")
     if format_version != INDEX_FORMAT_VERSION:
         raise IndexFormatError(
-            f"{path}: format version {format_version} is not supported"
+            f"format version {format_version} is not supported"
             f" (this build reads version {INDEX_FORMAT_VERSION}); rebuild the index"
         )
     if tokenizer_version != TOKENIZER_VERSION:
         raise IndexFormatError(
-            f"{path}: built with tokenizer version {tokenizer_version},"
+            f"built with tokenizer version {tokenizer_version},"
             f" this build uses {TOKENIZER_VERSION}; rebuild the index"
         )
-    body = memoryview(data)[_HEADER.size :]
-    if zlib.crc32(body) != crc:
-        raise IndexFormatError(
-            f"{path}: index file is truncated or damaged (CRC32 mismatch); rebuild the index"
-        )
+    cursor = _Cursor(fh, os.fstat(fh.fileno()).st_size - _HEADER.size)
     try:
-        index = _parse_body(_Cursor(body))
-        index.check()
-    except IndexFormatError as exc:
-        raise IndexFormatError(f"{path}: {exc}") from None
+        index = _parse_body(cursor)
+    except IndexFormatError:
+        cursor.check_crc(crc)  # a damaged body reports its checksum first
+        raise
+    cursor.check_crc(crc)
+    index.check()
     return index
 
 
@@ -266,8 +300,10 @@ def _parse_body(cursor: _Cursor) -> PostingsIndex:
     positions = cursor.u32s(position_count)
     if not cursor.at_end():
         raise IndexFormatError("trailing data after index body")
-
+    try:
+        built_at = datetime.fromtimestamp(built_ts, tz=timezone.utc)
+    except (OverflowError, OSError, ValueError):
+        raise IndexFormatError("build time out of range") from None
     starts = list(accumulate(counts, initial=0))
     spans = dict(zip(tokens, zip(starts, islice(starts, 1, None))))
-    built_at = datetime.fromtimestamp(built_ts, tz=timezone.utc)
     return PostingsIndex(doc_ids, dates, spans, docs, offsets, positions, corpus_name, built_at)

@@ -6,6 +6,7 @@ import socket
 import ssl
 import threading
 import time
+from contextlib import closing
 from datetime import date
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -333,6 +334,26 @@ class TestCache:
         assert count == 6 and type(count) is int
         assert len(session.calls) == 1
 
+    def test_directory_is_made_once(self, tmp_path, monkeypatch):
+        made = []
+        real_mkdir = Path.mkdir
+
+        def mkdir(path, *args, **kwargs):
+            made.append(path)
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        path = tmp_path / "new" / "dir" / "counts.jsonl"
+        cache = CountCache(path)
+        cache.put("q", 1, "test")
+        assert path.parent.is_dir()
+        assert made[0] == path.parent
+        first = len(made)
+        for i in range(20):
+            cache.put(f"q{i}", i, "test")
+        assert len(made) == first
+        assert len(CountCache(path)) == 21
+
     def test_no_path_is_memory_only(self):
         cache = CountCache(None)
         cache.put("q", 5, "test")
@@ -532,10 +553,10 @@ class TestAgainstStubServer:
             config = fast_config(
                 endpoint=server.url, cache_path=str(tmp_path / "c.jsonl")
             )
-            client = EpmcCountClient(config)
-            query = build_query("NANOG", date_range=RANGE_2004)
-            assert client.fetch_count(query) == 21
-            assert client.fetch_count(query) == 21
+            with closing(EpmcCountClient(config)) as client:
+                query = build_query("NANOG", date_range=RANGE_2004)
+                assert client.fetch_count(query) == 21
+                assert client.fetch_count(query) == 21
             assert server.request_count == 1
             assert server.requests[0]["format"] == "json"
             assert server.requests[0]["pageSize"] == "0"
@@ -543,15 +564,15 @@ class TestAgainstStubServer:
     def test_retry_against_real_http(self, tmp_path):
         with CountingStubServer(default_count=8) as server:
             server.plan_failures(500, 503)
-            client = EpmcCountClient(fast_config(endpoint=server.url))
-            assert client.fetch_count(build_query("x", date_range=RANGE_2004)) == 8
+            with closing(EpmcCountClient(fast_config(endpoint=server.url))) as client:
+                assert client.fetch_count(build_query("x", date_range=RANGE_2004)) == 8
             assert server.request_count == 3
 
     def test_specific_query_responses(self):
         with CountingStubServer(responses={GOLDEN: 15}, default_count=0) as server:
-            client = EpmcCountClient(fast_config(endpoint=server.url))
-            query = build_query("NANOG", "embryonic stem cell", date_range=RANGE_2004)
-            assert client.fetch_count(query) == 15
+            with closing(EpmcCountClient(fast_config(endpoint=server.url))) as client:
+                query = build_query("NANOG", "embryonic stem cell", date_range=RANGE_2004)
+                assert client.fetch_count(query) == 15
 
 
 def closed_port() -> int:
@@ -587,15 +608,24 @@ class TestHttpSession:
 
     def test_sequential_fetches_share_one_connection(self, offline):
         with CountingStubServer(default_count=3) as server:
-            client = EpmcCountClient(fast_config(endpoint=server.url))
-            for i in range(20):
-                assert client.fetch_count(self.query(f"t{i}")) == 3
+            with closing(EpmcCountClient(fast_config(endpoint=server.url))) as client:
+                for i in range(20):
+                    assert client.fetch_count(self.query(f"t{i}")) == 3
             assert server.request_count == 20
             assert server.connection_count == 1
 
+    def test_close_closes_the_idle_connection(self, offline):
+        with CountingStubServer(default_count=5) as server:
+            with closing(EpmcCountClient(fast_config(endpoint=server.url))) as client:
+                assert client.fetch_count(self.query("a")) == 5
+                client.close()
+                assert client.fetch_count(self.query("b")) == 5
+            assert server.connection_count == 2
+
     def test_sends_json_accept_and_user_agent(self, offline):
         with CountingStubServer() as server:
-            EpmcCountClient(fast_config(endpoint=server.url)).fetch_count(self.query())
+            with closing(EpmcCountClient(fast_config(endpoint=server.url))) as client:
+                client.fetch_count(self.query())
             (headers,) = server.request_headers
         assert headers["Accept"] == "application/json"
         assert headers["User-Agent"].startswith("litminer/")
@@ -603,28 +633,29 @@ class TestHttpSession:
 
     def test_idle_connection_closed_by_server_is_reopened(self, offline, caplog):
         with CountingStubServer(default_count=4) as server:
-            client = EpmcCountClient(fast_config(endpoint=server.url, max_attempts=1))
-            assert client.fetch_count(self.query("a")) == 4
-            server.drop_connections()
-            with caplog.at_level("WARNING", logger="litminer.epmc"):
-                assert client.fetch_count(self.query("b")) == 4
+            config = fast_config(endpoint=server.url, max_attempts=1)
+            with closing(EpmcCountClient(config)) as client:
+                assert client.fetch_count(self.query("a")) == 4
+                server.drop_connections()
+                with caplog.at_level("WARNING", logger="litminer.epmc"):
+                    assert client.fetch_count(self.query("b")) == 4
             assert caplog.text == ""
             assert server.connection_count == 2
 
     def test_redirect_is_not_followed(self, offline):
         with CountingStubServer() as server:
             server.plan_failures(301)
-            client = EpmcCountClient(fast_config(endpoint=server.url))
-            with pytest.raises(TransportError) as info:
-                client.fetch_count(self.query())
+            with closing(EpmcCountClient(fast_config(endpoint=server.url))) as client:
+                with pytest.raises(TransportError) as info:
+                    client.fetch_count(self.query())
             assert server.request_count == 1
         # The Location's own query is left out of the message.
         assert str(info.value).startswith("HTTP 301 to http://moved.invalid/search [query:")
 
     def test_endpoint_query_is_kept(self, offline):
         with CountingStubServer(default_count=2) as server:
-            client = EpmcCountClient(fast_config(endpoint=server.url + "?db=x"))
-            assert client.fetch_count(self.query()) == 2
+            with closing(EpmcCountClient(fast_config(endpoint=server.url + "?db=x"))) as client:
+                assert client.fetch_count(self.query()) == 2
             (params,) = server.requests
         assert params == {"db": "x", "query": self.query(), **DEFAULT_COUNT_PARAMS}
 
@@ -647,8 +678,9 @@ class TestHttpSession:
     def test_http_proxy_gets_the_absolute_url(self, offline, monkeypatch, user_info):
         with CountingStubServer(default_count=6) as server:
             monkeypatch.setenv("http_proxy", f"http://{user_info}{urlsplit(server.url).netloc}")
-            client = EpmcCountClient(fast_config(endpoint="http://litminer.invalid/search"))
-            assert client.fetch_count(self.query()) == 6
+            config = fast_config(endpoint="http://litminer.invalid/search")
+            with closing(EpmcCountClient(config)) as client:
+                assert client.fetch_count(self.query()) == 6
             (headers,) = server.request_headers
         assert offline == []
         assert headers["Host"] == "litminer.invalid"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import litminer.index
 from litminer import (
     DateRange,
     Document,
@@ -400,3 +401,51 @@ def test_counts_grow_with_range_end(six_index):
         current = (six_index.article_count(r), six_index.count_with(phrase("beta"), r))
         assert current >= previous
         previous = current
+
+
+def test_mask_maps_equal_a_direct_recomputation():
+    """Each token's {doc: position bitmask} map, at positions on both sides of
+    the shared single-bit table's bound (``_BITS_BOUND``)."""
+    bound = litminer.index._BITS_BOUND
+    rng = random.Random(11)
+    texts = [
+        # "x" alone at positions below, at and above the bound.
+        *(" ".join(["pad"] * p + ["x"]) for p in (0, 1, 7, 8, bound - 1, bound, bound + 1, 1000)),
+        # "x" twice, straddling the bound.
+        " ".join(["pad"] * (bound - 1) + ["x", "x"]),
+        " ".join(["x"] + ["pad"] * (bound + 40) + ["x"]),
+        *(
+            " ".join(rng.choices(["x", "y", "pad"], k=rng.randrange(1, 3 * bound)))
+            for _ in range(30)
+        ),
+    ]
+    # One document a day, so internal ids follow the list.
+    docs = [
+        Document(f"d{i:02}", text, date(2000, 1, 1) + timedelta(days=i))
+        for i, text in enumerate(texts)
+    ]
+    index = build_index(docs)
+    for token in ("x", "y", "pad"):
+        expected = {}
+        for internal, doc in enumerate(docs):
+            bits = sum(1 << p for p, t in enumerate(tokens_of(doc.text)) if t == token)
+            if bits:
+                expected[internal] = bits
+        assert index._token_masks(token) == expected
+    assert index._token_masks("absent") is None
+    assert index._token_masks("x")[5] == 1 << bound
+
+
+def test_mask_maps_share_their_ints():
+    """Every map keys on one list of doc-id ints, and a posting at one position
+    below the bound takes its mask from the table, not a new int."""
+    docs = [
+        Document(f"d{i:03}", " ".join(["pad"] * (10 + i % 3) + ["x"]), date(2000, 1, 1))
+        for i in range(600)
+    ]
+    index = build_index(docs)
+    x, pad = index._token_masks("x"), index._token_masks("pad")
+    pad_keys = {key: key for key in pad}
+    assert len(x) == 600
+    assert all(pad_keys[key] is key for key in x)
+    assert all(bits is litminer.index._BITS[bits.bit_length() - 1] for bits in x.values())

@@ -1,6 +1,8 @@
 import json
 import random
 import struct
+import time
+import tracemalloc
 import zlib
 from array import array
 from datetime import date, datetime, timedelta, timezone
@@ -316,6 +318,39 @@ class TestLoadRejections:
         with pytest.raises(IndexFormatError, match="trailing data after index body"):
             load_index(saved)
 
+    @pytest.mark.parametrize(
+        "count_at", [0, 4, 8, 12], ids=["docs", "tokens", "postings", "positions"]
+    )
+    def test_valid_checksum_over_a_huge_declared_count(self, saved, count_at):
+        """A section that claims 2**32 - 1 entries is refused against the file's
+        size before anything is allocated for it."""
+        body = bytearray(saved.read_bytes()[16:])
+        body[count_at : count_at + 4] = struct.pack("<I", 2**32 - 1)
+        self.write_body(saved, bytes(body))
+        started = time.perf_counter()
+        with pytest.raises(IndexFormatError, match="index file is truncated$"):
+            load_index(saved)
+        assert time.perf_counter() - started < 1
+
+    @pytest.mark.parametrize(
+        "start, end", [(16, 32), (32, 40), (40, 44)], ids=["counts", "build time", "name length"]
+    )
+    def test_garbage_sizes_report_the_checksum(self, saved, start, end):
+        """With its checksum left as written, a body whose counts, build time or
+        string lengths are garbage is refused for its CRC32, not its structure."""
+        data = bytearray(saved.read_bytes())
+        data[start:end] = b"\xff" * (end - start)
+        saved.write_bytes(bytes(data))
+        with pytest.raises(IndexFormatError, match=r"\(CRC32 mismatch\); rebuild the index$"):
+            load_index(saved)
+
+    def test_valid_checksum_over_a_build_time_out_of_range(self, saved):
+        body = bytearray(saved.read_bytes()[16:])
+        body[16:24] = b"\xff" * 8
+        self.write_body(saved, bytes(body))
+        with pytest.raises(IndexFormatError, match="build time out of range$"):
+            load_index(saved)
+
     def test_short_file_that_is_not_a_magic_prefix(self, tmp_path):
         path = tmp_path / "short.idx"
         path.write_bytes(b"LITMX")
@@ -444,3 +479,30 @@ def test_values_may_fall_between_groups(tmp_path):
     everything = DateRange(date(1900, 1, 1), date(2100, 1, 1))
     assert loaded.count_with(TokenizedPhrase(("x",)), everything) == 2
     assert loaded.count_with(TokenizedPhrase(("y", "x")), everything) == 1
+
+
+def test_load_peak_stays_near_what_it_loads(tmp_path):
+    """Loading reads the file straight into the index's arrays: no copy of the
+    whole file and no per-element lists in the checks, so the peak stays near
+    what the loaded index holds."""
+    rng = random.Random(5)
+    vocab = [f"w{rank}" for rank in range(3_000)]
+    weights = [1 / (rank + 1) for rank in range(3_000)]
+    docs = [
+        Document(
+            f"doc{i}",
+            " ".join(rng.choices(vocab, weights, k=120)),
+            date(2000, 1, 1) + timedelta(days=rng.randrange(0, 5_000)),
+        )
+        for i in range(1_500)
+    ]
+    path = tmp_path / "zipf.idx"
+    save_index(build_index(docs, corpus_name="zipf"), path)
+    tracemalloc.start()
+    try:
+        index = load_index(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.doc_count == 1_500
+    assert peak <= 1.5 * held, f"peak {peak} B for {held} B loaded"
