@@ -271,8 +271,10 @@ def _proxy_route(parts: SplitResult) -> tuple[tuple[str, int], dict[str, str]] |
         address = (via.hostname, via.port or 80)
     except ValueError:  # a port that is not a number
         address = (None, 0)
-    if not address[0]:
-        raise http.client.InvalidURL(f"{parts.scheme}_proxy is not a proxy URL")
+    if not address[0]:  # name the spelling getproxies read: lower case wins
+        variable = f"{parts.scheme}_proxy"
+        variable = variable if os.environ.get(variable) else variable.upper()
+        raise http.client.InvalidURL(f"{variable} is not a proxy URL")
     auth = {}
     if via.username is not None:
         user = f"{unquote(via.username)}:{unquote(via.password or '')}"

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import accumulate, chain, compress, islice, pairwise, repeat
+from functools import partial
+from itertools import accumulate, chain, compress, count, islice, pairwise, repeat
 from operator import and_, countOf, getitem, itemgetter, lshift, lt, ne, sub
 from typing import Iterable, Sequence
 
@@ -312,41 +313,35 @@ def build_index(
             raise IngestionError(f"duplicate doc_id {doc.doc_id!r}")
         if not isinstance(doc.pub_date, date):
             raise IngestionError(f"doc {doc.doc_id!r} has invalid date {doc.pub_date!r}")
+        if not isinstance(doc.text, str):
+            raise IngestionError(f"doc {doc.doc_id!r} has {type(doc.text).__name__} text, not str")
         seen.add(doc.doc_id)
     docs.sort(key=lambda d: (d.pub_date.toordinal(), d.doc_id))
 
-    # Number every occurrence in (doc, position) order and append its number
-    # to its token's array; ``doc_of`` maps a number to its doc and
-    # ``starts`` a doc to its first number.
-    occurrences: defaultdict[str, array] = defaultdict(lambda: array(U32))
-    doc_of = array(U32)
-    starts = array(U32)
+    # Each occurrence, in (doc, position) order, appends its doc and position to
+    # its token's arrays: ``map`` makes the calls, so no bytecode runs per occurrence.
+    token_docs: defaultdict[str, array] = defaultdict(partial(array, U32))
+    token_positions: defaultdict[str, array] = defaultdict(partial(array, U32))
     for internal, doc in enumerate(docs):
         doc_tokens = normalize_tokenize(doc.text)
-        starts.append(len(doc_of))
-        for number, token in enumerate(doc_tokens, len(doc_of)):
-            occurrences[token].append(number)
-        doc_of.extend(repeat(internal, len(doc_tokens)))
+        deque(map(array.append, map(token_docs.__getitem__, doc_tokens), repeat(internal)), 0)
+        deque(map(array.append, map(token_positions.__getitem__, doc_tokens), count()), 0)
 
-    # The same numbers grouped by token in ascending token order; a token's
-    # run of numbers begins at ``runs[k]``.
-    tokens = sorted(occurrences)
-    numbers = array(U32, chain.from_iterable(map(occurrences.__getitem__, tokens)))
-    runs = list(accumulate(map(len, map(occurrences.__getitem__, tokens)), initial=0))
-    del occurrences
-    occurrence_docs = array(U32, map(doc_of.__getitem__, numbers))
-    del doc_of
-    positions = array(U32, map(sub, numbers, map(starts.__getitem__, occurrence_docs)))
-    del numbers, starts
+    # The arrays joined in ascending token order; token k's run begins at ``runs[k]``.
+    tokens = sorted(token_docs)
+    runs = list(accumulate(map(len, map(token_docs.__getitem__, tokens)), initial=0))
+    occurrence_docs = array(U32, b"".join(map(token_docs.pop, tokens)))
+    positions = array(U32, b"".join(map(token_positions.pop, tokens)))
     # A posting begins where the doc changes or a token's run begins.
     begins = bytearray(map(ne, occurrence_docs, chain((-1,), occurrence_docs)))
     for run in runs[:-1]:
         begins[run] = 1
+    postings = array(U32, compress(occurrence_docs, begins))
+    del occurrence_docs
     offsets = array(U32, compress(range(len(positions)), begins))
     offsets.append(len(positions))
-    postings = array(U32, compress(occurrence_docs, begins))
-    del occurrence_docs, begins
-    spans = dict(zip(tokens, pairwise(map(bisect_left, repeat(offsets), runs))))
+    counts = map(begins.count, repeat(1), runs, runs[1:])  # the postings in each run
+    spans = dict(zip(tokens, pairwise(accumulate(counts, initial=0))))
 
     if built_at is None:
         built_at = datetime.now(timezone.utc)

@@ -1,4 +1,10 @@
-"""Deterministic text normalization shared by indexing and phrase queries."""
+"""Deterministic text normalization shared by indexing and phrase queries.
+
+A token is a maximal run of letters and digits in the lowercased text.  ASCII
+text skips the regex: a ``bytes.translate`` table lowercases ``A-Z`` and blanks
+every byte but ``a-z0-9``, then ``split()`` takes the runs.  Below U+0080,
+``\\w`` is exactly ``[A-Za-z0-9_]``, so both ways give the same tokens.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +15,9 @@ from dataclasses import dataclass
 # index is refused instead of silently answering with different semantics.
 TOKENIZER_VERSION = 1
 
-# Maximal runs of letters and digits; everything else separates tokens.
-# \w minus underscore covers Unicode letters and digits.
 _TOKEN_RE = re.compile(r"[^\W_]+")
+# Letters and digits (ASCII only) to their lowercase forms, other bytes to a space.
+_ASCII_TOKEN_BYTES = bytes(b if bytes((b,)).isalnum() else 32 for b in bytes(range(256)).lower())
 
 
 class InvalidPhraseError(ValueError):
@@ -19,12 +25,9 @@ class InvalidPhraseError(ValueError):
 
 
 def normalize_tokenize(text: str) -> list[str]:
-    """Split ``text`` into its tokens, in order of appearance.
-
-    The text is lowercased first, then tokens are taken as maximal runs of
-    letters and digits.  A token's position is its index in the list, so
-    phrase queries can test adjacency.
-    """
+    """The tokens of ``text`` in order: a token's position is its list index."""
+    if text.isascii():
+        return text.encode().translate(_ASCII_TOKEN_BYTES).decode().split()
     return _TOKEN_RE.findall(text.lower())
 
 

@@ -316,6 +316,19 @@ class TestClientConfigErrors:
         assert "s3cret" not in captured.err
         assert "ann" not in captured.err
 
+    def test_malformed_proxy_refusal_names_the_upper_case_variable(self, capsys, monkeypatch):
+        """With only ``HTTP_PROXY`` set, that is the variable the refusal names."""
+        monkeypatch.delenv("http_proxy", raising=False)
+        monkeypatch.delenv("REQUEST_METHOD", raising=False)
+        monkeypatch.setenv("HTTP_PROXY", "http://ann:pw@127.0.0.1:abc")
+        monkeypatch.setenv("no_proxy", "")
+        code = main(["count", "--endpoint", "http://127.0.0.1:9/search", "alpha"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "usage error: HTTP_PROXY is not a proxy URL" in captured.err
+        assert "pw" not in captured.err
+        assert "ann" not in captured.err
+
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         code = main(

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import threading
@@ -76,6 +77,11 @@ class TestBuildIndex:
     def test_non_date_rejected(self):
         with pytest.raises(IngestionError, match="d1"):
             build_index([Document("d1", "text", "2000-01-01")])
+
+    @pytest.mark.parametrize("text", [None, 42, b"stem cell"])
+    def test_non_string_text_rejected(self, text):
+        with pytest.raises(IngestionError, match="d1"):
+            build_index([Document("d1", text, date(2000, 1, 1))])
 
     def test_insertion_order_does_not_matter(self, six_documents, full_range, tmp_path):
         built_at = datetime(2020, 1, 1, tzinfo=timezone.utc)
@@ -270,6 +276,57 @@ def test_postings_match_oracle_tokens(tmp_path_factory, docs):
     save_index(index, directory / "forward.idx")
     save_index(build_index(docs[::-1], built_at=built_at), directory / "reversed.idx")
     assert (directory / "forward.idx").read_bytes() == (directory / "reversed.idx").read_bytes()
+
+
+# Documents that take both tokenizer paths: text with any non-ASCII character
+# goes through the regex.  "İstanbul" lengthens when lowercased, to
+# "i̇stanbul", and its combining dot is not a letter, so it splits the word.
+MIXED_DOCUMENTS = [
+    Document("a1", "Cafe culture: snake_case NKX2-5", date(2010, 3, 1)),
+    Document("u1", "Café au lait; cafe noir", date(2010, 3, 1)),
+    Document("u2", "Straße and strasse", date(2011, 7, 9)),
+    Document("u3", "İstanbul fibroblast cafe", date(2012, 1, 2)),
+    Document("u4", "ﬁbroblast growth; fibroblast growth", date(2009, 12, 31)),
+    Document("u5", "٣ cells, 3 cells and snake_case", date(2012, 1, 2)),
+    Document("a2", "Fibroblast GROWTH factor in snake_case", date(2013, 5, 5)),
+]
+# SHA-256 of MIXED_DOCUMENTS' index file.  The scan oracle tokenizes with
+# normalize_tokenize itself, so this digest is what pins the tokens.
+MIXED_INDEX_SHA256 = "30319ae368c59591971d8415e279c0ed160d1a6f0c550fbe59f26de0e7fd1235"
+MIXED_COUNTS = {
+    "cafe": 3,
+    "café": 1,
+    "straße": 1,
+    "strasse": 1,
+    "i stanbul fibroblast": 1,
+    "ﬁbroblast growth": 1,
+    "fibroblast growth": 2,
+    "٣ cells": 1,
+    "3 cells": 1,
+    "snake case": 3,
+    "nkx2 5": 1,
+}
+
+
+def test_mixed_script_index_file_is_golden(tmp_path):
+    built_at = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    index = build_index(MIXED_DOCUMENTS, corpus_name="mixed", built_at=built_at)
+    index.check()
+    save_index(index, tmp_path / "mixed.idx")
+    digest = hashlib.sha256((tmp_path / "mixed.idx").read_bytes()).hexdigest()
+    assert digest == MIXED_INDEX_SHA256
+    scannable = pretokenize(MIXED_DOCUMENTS)
+    whole = DateRange(date(2009, 1, 1), date(2013, 12, 31))
+    for date_range in (whole, DateRange(date(2010, 3, 1), date(2012, 1, 1))):
+        start, end = date_range.start, date_range.end
+        for text in MIXED_COUNTS:
+            tokens = phrase(text).tokens
+            expected = scan_count_with(scannable, tokens, start, end)
+            assert index.count_with(phrase(text), date_range) == expected
+            assert index.count_with_both(
+                phrase(text), phrase("cafe"), date_range
+            ) == scan_count_with_both(scannable, tokens, ("cafe",), start, end)
+    assert {text: index.count_with(phrase(text), whole) for text in MIXED_COUNTS} == MIXED_COUNTS
 
 
 def test_empty_index_counts_zero_in_every_window():
