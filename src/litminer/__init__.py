@@ -11,6 +11,13 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+
+class LitminerError(Exception):
+    """Base of litminer's errors; ``exit_code`` is the command line's exit status for one."""
+
+    exit_code = 1
+
+
 # Each public name under the submodule that defines it.  A submodule is
 # imported the first time one of its names is used (PEP 562), so a run on
 # a local index never loads the remote backend's HTTP modules.
@@ -66,7 +73,8 @@ _PUBLIC_NAMES = {
     ),
 }
 
-__all__ = ["__version__", *sorted(name for names in _PUBLIC_NAMES.values() for name in names)]
+__all__ = ["LitminerError", "__version__"]
+__all__ += sorted(name for names in _PUBLIC_NAMES.values() for name in names)
 
 
 def __getattr__(name: str):

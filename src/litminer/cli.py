@@ -10,22 +10,18 @@ from dataclasses import replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 
-from . import __version__
+from . import LitminerError, __version__
 from .epmc import (
     ClientConfig,
     EpmcCountClient,
     EpmcCountProvider,
-    ProtocolError,
-    TransportError,
     check_proxy,
 )
-from .index import DateRange, IngestionError, build_index
+from .index import DateRange, build_index
 from .mining import (
     DEFAULT_P_THRESHOLD,
-    ConfigError,
     IndexCountProvider,
     MinerConfig,
-    MiningError,
     RankingMode,
     run_mining,
 )
@@ -38,26 +34,25 @@ from .output import (
     write_text,
 )
 from .stats import (
-    InconsistentCountsError,
     co_occurrence_ratio,
     derive_table,
     fisher_one_sided,
 )
 from .storage import (
-    CorpusFormatError,
-    IndexFormatError,
     load_index,
     parse_date,
     read_corpus,
     save_index,
 )
-from .tokenizer import InvalidPhraseError, normalize_tokenize
+from .tokenizer import normalize_tokenize
 
 DEFAULT_RANGE_START = date(1900, 1, 1)
 
 
-class UsageError(Exception):
-    """Bad invocation or unusable inputs; maps to exit code 2."""
+class UsageError(LitminerError):
+    """Bad invocation or unusable inputs."""
+
+    exit_code = 2
 
 
 def _parse_date(text: str) -> date:
@@ -247,9 +242,22 @@ def _open_provider(args: argparse.Namespace):
         client.close()
 
 
+def _utf8(text: str, what: str) -> str:
+    """``text``, or a usage error when it holds bytes that are not UTF-8.
+
+    Python reads such bytes in an argument or a file name as lone
+    surrogates, which no index, results file or request can carry.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise UsageError(f"{what} {text!r} is not UTF-8 text") from None
+    return text
+
+
 def cmd_index(args: argparse.Namespace) -> int:
+    name = _utf8(args.name if args.name is not None else Path(args.corpus).stem, "corpus name")
     documents = list(read_corpus(args.corpus))
-    name = args.name if args.name is not None else Path(args.corpus).stem
     index = build_index(documents, corpus_name=name)
     save_index(index, args.output)
     if index.doc_count == 0:
@@ -267,7 +275,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     if len(args.phrases) > 2:
         raise UsageError("count takes one phrase, or a TERM KEY_PHRASE pair")
     for phrase in args.phrases:
-        if not normalize_tokenize(phrase):
+        if not normalize_tokenize(_utf8(phrase, "phrase")):
             raise UsageError(f"phrase {phrase!r} contains no indexable tokens")
     date_range = _date_range(args)
     with _open_provider(args) as (provider, _identity, _workers):
@@ -300,6 +308,8 @@ def _read_terms(path: str) -> list[str]:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read terms file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"terms file {path} is not UTF-8 text ({exc.reason})") from exc
     terms = []
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -315,6 +325,7 @@ def _read_terms(path: str) -> list[str]:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    _utf8(args.key_phrase, "key phrase")
     date_range = _date_range(args)
     terms = _read_terms(args.terms)
     with _open_provider(args) as (provider, identity, parallelism):
@@ -377,20 +388,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, ConfigError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        CorpusFormatError,
-        IndexFormatError,
-        IngestionError,
-        InvalidPhraseError,
-        InconsistentCountsError,
-        MiningError,
-        TransportError,
-        ProtocolError,
-        OSError,
-    ) as exc:
+    except LitminerError as exc:
+        print(f"{'usage error' if exc.exit_code == 2 else 'error'}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 from urllib.parse import SplitResult, unquote, urlencode, urlsplit
 
-from . import __version__
+from . import LitminerError, __version__
 from .index import DateRange
 from .tokenizer import InvalidPhraseError
 
@@ -39,11 +39,10 @@ DEFAULT_COUNT_PARAMS: Mapping[str, str] = {
     "pageSize": "0",
 }
 
-_ENV_PREFIX = "LITMINER_"
 _HEADERS = {"Accept": "application/json", "User-Agent": f"litminer/{__version__}"}
 
 
-class TransportError(RuntimeError):
+class TransportError(LitminerError, RuntimeError):
     """Request never produced a usable HTTP response."""
 
     def __init__(self, query_string: str, message: str):
@@ -51,7 +50,7 @@ class TransportError(RuntimeError):
         super().__init__(f"{message} [query: {query_string}]")
 
 
-class ProtocolError(RuntimeError):
+class ProtocolError(LitminerError, RuntimeError):
     """The service answered, but not in the shape this client expects."""
 
     def __init__(self, query_string: str, message: str):
@@ -105,7 +104,9 @@ class CountCache:
             self._load()
 
     def _load(self) -> None:
-        with open(self._path, encoding="utf-8") as fh:
+        # Bytes, so a line torn inside a character fails to decode, a
+        # ValueError, and is skipped like any other unreadable line.
+        with open(self._path, "rb") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -331,46 +332,21 @@ def _http_url(value: Any) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname) and "@" not in parts.netloc
 
 
-# What each ClientConfig setting must hold: a test, and its wording in errors.
-_SETTING_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
-    "endpoint": (
-        _http_url,
-        "an ASCII http or https URL with a host, no user info and no blanks",
-    ),
-    "count_field": (_str, "a string"),
-    "count_params": (_str_mapping, "an object of string values"),
-    "api_key": (_optional_str, "a string or null"),
-    "api_key_param": (_str, "a string"),
-    # Above TIMEOUT_MAX seconds a wait overflows the platform's time_t, so
-    # the pacing interval, the backoffs and the timeout are bounded by it.
-    "requests_per_second": (
-        lambda v: _number(v) and v >= 1 / threading.TIMEOUT_MAX,
-        f"a number >= 1/{threading.TIMEOUT_MAX:.0f}",
-    ),
-    "max_in_flight": (_positive_int, "an integer >= 1"),
-    "max_attempts": (_positive_int, "an integer >= 1"),
-    "backoff_base": (_wait, f"a number >= 0 and <= {threading.TIMEOUT_MAX:.0f}"),
-    "backoff_cap": (_wait, f"a number >= 0 and <= {threading.TIMEOUT_MAX:.0f}"),
-    "timeout": (
-        lambda v: _wait(v) and v > 0,
-        f"a number > 0 and <= {threading.TIMEOUT_MAX:.0f}",
-    ),
-    "cache_path": (_optional_str, "a string or null"),
-    "bypass_cache": (lambda v: isinstance(v, bool), "true or false"),
-    "source_label": (_str, "a string"),
-}
-
-# LITMINER_<suffix> -> (setting, parser of the variable's text)
-_ENV_SETTINGS: dict[str, tuple[str, Callable[[str], Any]]] = {
-    "ENDPOINT": ("endpoint", str),
-    "COUNT_FIELD": ("count_field", str),
-    "API_KEY": ("api_key", str),
-    "CACHE": ("cache_path", str),
-    "RATE_LIMIT": ("requests_per_second", float),
-    "MAX_IN_FLIGHT": ("max_in_flight", int),
-    "RETRY_ATTEMPTS": ("max_attempts", int),
-    "TIMEOUT": ("timeout", float),
-}
+def _setting(
+    default: Any,
+    valid: Callable[[Any], bool],
+    expected: str,
+    env: str | None = None,
+    cli_only: bool = False,
+) -> Any:
+    """A ClientConfig field declaring its default, its test and the test's wording in errors,
+    the variable that sets it (its text read as the default's type, or as a string for None),
+    and whether only the command line sets it.
+    """
+    rule = {"valid": valid, "expected": expected, "env": env, "cli_only": cli_only}
+    if isinstance(default, Mapping):  # copied for each config
+        return field(default_factory=lambda: dict(default), metadata=rule)
+    return field(default=default, metadata=rule)
 
 
 @dataclass(frozen=True)
@@ -381,34 +357,52 @@ class ClientConfig:
     value fails with a ``ValueError`` naming it before any request is made.
     """
 
-    endpoint: str = DEFAULT_ENDPOINT
-    count_field: str = DEFAULT_COUNT_FIELD
-    count_params: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_COUNT_PARAMS))
-    api_key: str | None = None
-    api_key_param: str = "apiKey"
-    requests_per_second: float = 5.0
-    max_in_flight: int = 2
-    max_attempts: int = 5
-    backoff_base: float = 0.5
-    backoff_cap: float = 30.0
-    timeout: float = 30.0
-    cache_path: str | None = None
-    bypass_cache: bool = False
-    source_label: str = "europepmc"
+    endpoint: str = _setting(
+        DEFAULT_ENDPOINT,
+        _http_url,
+        "an ASCII http or https URL with a host, no user info and no blanks",
+        "LITMINER_ENDPOINT",
+    )
+    count_field: str = _setting(DEFAULT_COUNT_FIELD, _str, "a string", "LITMINER_COUNT_FIELD")
+    count_params: Mapping[str, str] = _setting(
+        DEFAULT_COUNT_PARAMS, _str_mapping, "an object of string values"
+    )
+    api_key: str | None = _setting(None, _optional_str, "a string or null", "LITMINER_API_KEY")
+    api_key_param: str = _setting("apiKey", _str, "a string")
+    # Above TIMEOUT_MAX seconds a wait overflows the platform's time_t, so
+    # the pacing interval, the backoffs and the timeout are bounded by it.
+    requests_per_second: float = _setting(
+        5.0,
+        lambda v: _number(v) and v >= 1 / threading.TIMEOUT_MAX,
+        f"a number >= 1/{threading.TIMEOUT_MAX:.0f}",
+        "LITMINER_RATE_LIMIT",
+    )
+    max_in_flight: int = _setting(2, _positive_int, "an integer >= 1", "LITMINER_MAX_IN_FLIGHT")
+    max_attempts: int = _setting(5, _positive_int, "an integer >= 1", "LITMINER_RETRY_ATTEMPTS")
+    backoff_base: float = _setting(0.5, _wait, f"a number >= 0 and <= {threading.TIMEOUT_MAX:.0f}")
+    backoff_cap: float = _setting(30.0, _wait, f"a number >= 0 and <= {threading.TIMEOUT_MAX:.0f}")
+    timeout: float = _setting(
+        30.0,
+        lambda v: _wait(v) and v > 0,
+        f"a number > 0 and <= {threading.TIMEOUT_MAX:.0f}",
+        "LITMINER_TIMEOUT",
+    )
+    cache_path: str | None = _setting(None, _optional_str, "a string or null", "LITMINER_CACHE")
+    bypass_cache: bool = _setting(
+        False, lambda v: isinstance(v, bool), "true or false", cli_only=True
+    )
+    source_label: str = _setting("europepmc", _str, "a string")
 
     def __post_init__(self) -> None:
-        for name, (valid, expected) in _SETTING_RULES.items():
-            value = getattr(self, name)
-            if not valid(value):
-                raise ValueError(f"client setting {name!r} must be {expected}, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not f.metadata["valid"](value):
+                expected = f.metadata["expected"]
+                raise ValueError(f"client setting {f.name!r} must be {expected}, got {value!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ClientConfig":
-        """Read a JSON config file on top of the defaults.
-
-        The file may set every field except ``bypass_cache``, which only
-        the command line sets.
-        """
+        """Read a JSON config file, which may set every field but a ``cli_only`` one."""
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -416,7 +410,7 @@ class ClientConfig:
                 raise ValueError(f"{path}: client config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(f"{path}: client config must be a JSON object")
-        accepted = {f.name for f in fields(cls)} - {"bypass_cache"}
+        accepted = {f.name for f in fields(cls) if not f.metadata["cli_only"]}
         unknown = sorted(set(data) - accepted)
         if unknown:
             raise ValueError(f"{path}: unknown client config keys: {unknown}")
@@ -426,16 +420,18 @@ class ClientConfig:
             raise ValueError(f"{path}: {exc}") from exc
 
     def with_env_overrides(self, env: Mapping[str, str] | None = None) -> "ClientConfig":
-        """Apply LITMINER_* environment variables on top of this config."""
+        """Apply LITMINER_* environment variables on top of this config, in field order."""
         env = os.environ if env is None else env
         config = self
-        for suffix, (name, parse) in _ENV_SETTINGS.items():
-            value = env.get(_ENV_PREFIX + suffix)
+        for setting in fields(self):
+            variable = setting.metadata["env"]
+            value = env.get(variable) if variable else None
             if value is not None:
+                parse = str if setting.default is None else type(setting.default)
                 try:
-                    config = replace(config, **{name: parse(value)})
+                    config = replace(config, **{setting.name: parse(value)})
                 except ValueError as exc:
-                    raise ValueError(f"{_ENV_PREFIX}{suffix}={value!r}: {exc}") from exc
+                    raise ValueError(f"{variable}={value!r}: {exc}") from exc
         return config
 
 

@@ -12,6 +12,7 @@ from itertools import accumulate, chain, compress, count, islice, pairwise, repe
 from operator import and_, countOf, getitem, itemgetter, lshift, lt, ne, sub
 from typing import Iterable, Sequence
 
+from . import LitminerError
 from .tokenizer import TokenizedPhrase, normalize_tokenize
 
 # Typecode of the arrays that hold dates, doc ids, offsets and positions:
@@ -25,11 +26,11 @@ _BITS_BOUND = 256
 _BITS = tuple(1 << p for p in range(_BITS_BOUND))
 
 
-class IngestionError(ValueError):
+class IngestionError(LitminerError, ValueError):
     """Raised when a document stream cannot be indexed."""
 
 
-class IndexFormatError(ValueError):
+class IndexFormatError(LitminerError, ValueError):
     """An index this build cannot use: another format, or a damaged structure."""
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol, Sequence, runtime_checkable
 
+from . import LitminerError
 from .index import DateRange, PostingsIndex
 from .stats import (
     InconsistentCountsError,
@@ -20,11 +21,13 @@ from .tokenizer import TokenizedPhrase, normalize_tokenize
 DEFAULT_P_THRESHOLD = 1e-5
 
 
-class ConfigError(ValueError):
+class ConfigError(LitminerError, ValueError):
     """Raised when a run configuration is unusable."""
 
+    exit_code = 2
 
-class MiningError(RuntimeError):
+
+class MiningError(LitminerError, RuntimeError):
     """Raised when a run cannot produce a result set at all."""
 
 

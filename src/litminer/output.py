@@ -17,6 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Any, Sequence
 
+from . import LitminerError
 from .mining import MiningRun, TermResult
 from .storage import write_atomically
 
@@ -36,7 +37,7 @@ TSV_COLUMNS = (
 )
 
 
-class ResultParseError(ValueError):
+class ResultParseError(LitminerError, ValueError):
     """A results file that cannot be read back."""
 
 

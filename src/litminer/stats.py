@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import LitminerError
+
 # Smallest positive double; extreme tables can push the true p-value below
 # what floating point can represent, and the contract is 0 < p <= 1.
 _MIN_P = math.ulp(0.0)
@@ -24,11 +26,11 @@ _S3 = 1.0 / 1680.0
 _S4 = 1.0 / 1188.0
 
 
-class InconsistentCountsError(ValueError):
+class InconsistentCountsError(LitminerError, ValueError):
     """Raised when four counts cannot form a non-negative 2x2 table."""
 
 
-class UndefinedRatioError(ValueError):
+class UndefinedRatioError(LitminerError, ValueError):
     """Raised when a ratio's denominator count is zero."""
 
 

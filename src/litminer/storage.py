@@ -1,7 +1,8 @@
 """Corpus file parsing and the on-disk index format.
 
 Corpus files are UTF-8 JSON Lines: one object per line with string fields
-``id``, ``date`` (YYYY-MM-DD) and ``text``.
+``id``, ``date`` (YYYY-MM-DD) and ``text``.  A line that is not UTF-8, or an
+``id`` that UTF-8 cannot store, is refused with its line number.
 
 Index files are binary, little-endian throughout.  A 16-byte header:
 
@@ -53,6 +54,7 @@ from itertools import accumulate, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from . import LitminerError
 from .index import U32, Document, IndexFormatError, PostingsIndex
 from .tokenizer import TOKENIZER_VERSION
 
@@ -63,7 +65,7 @@ _HEADER = struct.Struct("<8sHHI")
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
 
 
-class CorpusFormatError(ValueError):
+class CorpusFormatError(LitminerError, ValueError):
     """A corpus line that cannot be parsed; carries the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
@@ -102,6 +104,12 @@ def parse_corpus_line(line: str, line_no: int) -> Document:
     doc_id = record["id"]
     if not doc_id:
         raise CorpusFormatError(line_no, "field 'id' is empty")
+    try:
+        doc_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusFormatError(
+            line_no, f"field 'id' {doc_id!r} holds a lone surrogate, which UTF-8 cannot store"
+        ) from None
     raw_date = record["date"]
     try:
         pub_date = parse_date(raw_date)
@@ -112,8 +120,17 @@ def parse_corpus_line(line: str, line_no: int) -> Document:
 
 def read_corpus(path: str | Path) -> Iterator[Document]:
     """Yield documents from a JSON Lines corpus file; blank lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        # Lines end at \n, \r\n or \r, as in text mode, and each is decoded
+        # on its own, so a byte that is not UTF-8 is reported with its line.
+        lines = (part for block in fh for part in block.splitlines())
+        for line_no, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(
+                    line_no, f"byte {exc.start + 1} is not valid UTF-8 ({exc.reason})"
+                ) from None
             if not line.strip():
                 continue
             yield parse_corpus_line(line, line_no)

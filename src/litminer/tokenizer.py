@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import LitminerError
+
 # Bump whenever tokenization rules change; stored in index files so a stale
 # index is refused instead of silently answering with different semantics.
 TOKENIZER_VERSION = 1
@@ -20,7 +22,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 _ASCII_TOKEN_BYTES = bytes(b if bytes((b,)).isalnum() else 32 for b in bytes(range(256)).lower())
 
 
-class InvalidPhraseError(ValueError):
+class InvalidPhraseError(LitminerError, ValueError):
     """Raised when a phrase contains no indexable tokens."""
 
 

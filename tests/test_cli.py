@@ -1,9 +1,14 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import litminer
 from litminer.cli import main
 from litminer.output import parse_results_json, parse_results_tsv
 from remote_stub import CountingStubServer
@@ -698,3 +703,64 @@ class TestMineRemote:
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "litminer" in capsys.readouterr().out
+
+
+GOOD_LINE = b'{"id": "a", "date": "2001-01-01", "text": "stem cell"}\n'
+
+
+@pytest.mark.parametrize(
+    "case, code, named",
+    [
+        pytest.param(case, code, named, id=case)
+        for case, code, named in [
+            ("corpus byte", 1, "error: line 2: byte 45 is not valid UTF-8"),
+            ("corpus id", 1, "error: line 2: field 'id' '\\udcff' holds a lone surrogate"),
+            ("corpus name", 2, "usage error: corpus name '\\udcff' is not UTF-8 text"),
+            ("corpus file stem", 2, "usage error: corpus name '\\udcff' is not UTF-8 text"),
+            ("terms file", 2, "usage error: terms file terms.txt is not UTF-8 text"),
+            ("count phrase", 2, "usage error: phrase 'alpha\\udcff' is not UTF-8 text"),
+            ("key phrase", 2, "usage error: key phrase 'stem\\udcff' is not UTF-8 text"),
+            ("torn cache", 0, "counts.jsonl: skipping unreadable cache line 1"),
+        ]
+    ],
+)
+def test_text_that_is_not_utf8_ends_in_one_line(six_index_file, tmp_path, case, code, named):
+    """Bytes that are not UTF-8, or text UTF-8 cannot store, never end in a traceback."""
+    corpus, output = tmp_path / "corpus.jsonl", tmp_path / "out.idx"
+    index_args = ["index", "--corpus", corpus, "--output", output]
+    if case == "corpus byte":
+        corpus.write_bytes(GOOD_LINE + b'{"id": "b", "date": "2001-01-01", "text": "x\xff"}\n')
+    elif case == "corpus id":
+        corpus.write_bytes(GOOD_LINE + b'{"id": "\\udcff", "date": "2001-01-01", "text": "x"}\n')
+    elif case == "corpus name":
+        corpus.write_bytes(GOOD_LINE)
+        index_args += ["--name", b"\xff"]
+    elif case == "corpus file stem":
+        corpus = tmp_path / os.fsdecode(b"\xff.jsonl")
+        corpus.write_bytes(GOOD_LINE)
+        index_args[2] = corpus
+    (tmp_path / "terms.txt").write_bytes(b"alpha\n\xff\n")
+    (tmp_path / "counts.jsonl").write_bytes(b'{"query": "\xc3')
+    src = str(Path(litminer.__file__).resolve().parent.parent)
+    with CountingStubServer() as server:
+        mine_args = ["mine", "--index", six_index_file, "--output", "r.tsv", "--key-phrase"]
+        args = {
+            "terms file": [*mine_args, "stem cell", "--terms", "terms.txt"],
+            "key phrase": [*mine_args, b"stem\xff", "--terms", "terms.txt"],
+            "count phrase": ["count", "--index", six_index_file, b"alpha\xff"],
+            "torn cache": ["count", "--endpoint", server.url, "--cache", "counts.jsonl", "alpha"],
+        }.get(case, index_args)
+        done = subprocess.run(
+            [sys.executable, "-m", "litminer.cli", *args],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [done.stderr.strip()]
+    assert named in done.stderr
+    assert done.returncode == code
+    assert not output.exists()
+    assert not (tmp_path / "r.tsv").exists()

@@ -1,6 +1,7 @@
 """The package's public names: each is its defining module's object, imported on first use."""
 
 import os
+import pkgutil
 import subprocess
 import sys
 from importlib import import_module
@@ -16,7 +17,7 @@ SRC = str(Path(litminer.__file__).resolve().parent.parent)
 def test_all_is_the_table_of_public_names():
     table = [name for names in litminer._PUBLIC_NAMES.values() for name in names]
     assert len(set(table)) == len(table)
-    assert litminer.__all__ == ["__version__", *sorted(table)]
+    assert litminer.__all__ == ["LitminerError", "__version__", *sorted(table)]
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -52,3 +53,27 @@ for name in ("index", "mining", "stats", "epmc", "storage", "tokenizer"):
         [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_every_error_class_states_its_exit_status():
+    """Each exception a litminer module defines is a LitminerError, with status 1 or 2.
+
+    Each keeps its ValueError or RuntimeError base, so callers' except clauses
+    still match; only the command line's own UsageError has neither.
+    """
+    errors = {}
+    for info in pkgutil.iter_modules(litminer.__path__):
+        module = import_module(f"litminer.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, BaseException):
+                if value.__module__ == module.__name__:
+                    errors[value.__name__] = value
+    assert {"CorpusFormatError", "TransportError", "UsageError"} <= set(errors)
+    for name, error in errors.items():
+        assert issubclass(error, litminer.LitminerError), name
+        assert error.exit_code in (1, 2), name
+        assert issubclass(error, (ValueError, RuntimeError)) or name == "UsageError", name
+    assert {name for name, error in errors.items() if error.exit_code == 2} == {
+        "ConfigError",
+        "UsageError",
+    }

@@ -1,16 +1,21 @@
-"""The README's quick start, run as written: same corpus, same arguments, same output."""
+"""The README's quick start, run as written: same corpus, same arguments, same output.
+
+Also its table of remote client settings, checked against their declarations.
+"""
 
 import hashlib
+import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import litminer
-from litminer import build_index, read_corpus, save_index
+from litminer import ClientConfig, build_index, read_corpus, save_index
 from litminer.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -82,3 +87,31 @@ def test_quick_start_runs_without_requests(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith(expected)
+
+
+def test_client_config_docs_match_the_field_declarations():
+    """README's table of config keys and defaults, and its LITMINER_* list, match the fields."""
+    section = README.read_text(encoding="utf-8").split("### Remote counting", 1)[1]
+    section = section.split("\n### ", 1)[0]
+    documented = {}
+    for keys, defaults in re.findall(r"^\| (`.*?) \| (.*?) \|$", section, re.M):
+        names = re.findall(r"`(\w+)`", keys)
+        for name, default in zip(names, defaults.split(", ", len(names) - 1), strict=True):
+            shown = re.match(r"`([^`]*)`", default)
+            documented[name] = shown.group(1) if shown else default
+    config = ClientConfig()
+    expected = {}
+    for setting in fields(ClientConfig):
+        if not setting.metadata["cli_only"]:
+            default = getattr(config, setting.name)
+            if default is None:
+                expected[setting.name] = "none"
+            elif isinstance(default, dict):
+                expected[setting.name] = json.dumps(default)
+            else:
+                expected[setting.name] = str(default)
+    assert documented == expected
+
+    listed = section.split("Environment variables override the file:", 1)[1].split("\n\n")[0]
+    variables = [setting.metadata["env"] for setting in fields(ClientConfig)]
+    assert sorted(re.findall(r"`(LITMINER_\w+)`", listed)) == sorted(filter(None, variables))

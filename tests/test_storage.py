@@ -130,6 +130,14 @@ class TestReadCorpus:
         with pytest.raises(CorpusFormatError, match="line 2"):
             list(read_corpus(path))
 
+    def test_crlf_and_cr_end_lines_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(f"{line_for('a')}\r\n{line_for('b')}\r\r{line_for('c')}".encode())
+        assert [d.doc_id for d in read_corpus(path)] == ["a", "b", "c"]
+        path.write_bytes(f"{line_for('a')}\r\n\r{{broken\n".encode())
+        with pytest.raises(CorpusFormatError, match="line 3"):
+            list(read_corpus(path))
+
 
 def queries(index, date_range):
     def count(text):
