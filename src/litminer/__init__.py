@@ -18,6 +18,12 @@ class LitminerError(Exception):
     exit_code = 1
 
 
+class ConfigError(LitminerError, ValueError):
+    """Bad input, raised by the check that finds it; the command line's usage error."""
+
+    exit_code = 2
+
+
 # Each public name under the submodule that defines it.  A submodule is
 # imported the first time one of its names is used (PEP 562), so a run on
 # a local index never loads the remote backend's HTTP modules.
@@ -32,7 +38,6 @@ _PUBLIC_NAMES = {
     ),
     "mining": (
         "DEFAULT_P_THRESHOLD",
-        "ConfigError",
         "CountProvider",
         "ExcludedTerm",
         "ExclusionReason",
@@ -73,7 +78,7 @@ _PUBLIC_NAMES = {
     ),
 }
 
-__all__ = ["LitminerError", "__version__"]
+__all__ = ["ConfigError", "LitminerError", "__version__"]
 __all__ += sorted(name for names in _PUBLIC_NAMES.values() for name in names)
 
 

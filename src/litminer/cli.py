@@ -10,7 +10,7 @@ from dataclasses import replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 
-from . import LitminerError, __version__
+from . import ConfigError, LitminerError, __version__
 from .epmc import (
     ClientConfig,
     EpmcCountClient,
@@ -44,15 +44,9 @@ from .storage import (
     read_corpus,
     save_index,
 )
-from .tokenizer import normalize_tokenize
+from .tokenizer import is_utf8, normalize_tokenize
 
 DEFAULT_RANGE_START = date(1900, 1, 1)
-
-
-class UsageError(LitminerError):
-    """Bad invocation or unusable inputs."""
-
-    exit_code = 2
 
 
 def _parse_date(text: str) -> date:
@@ -65,10 +59,7 @@ def _parse_date(text: str) -> date:
 def _date_range(args: argparse.Namespace) -> DateRange:
     start = args.date_from if args.date_from is not None else DEFAULT_RANGE_START
     end = args.date_to if args.date_to is not None else date.today()
-    try:
-        return DateRange(start, end)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return DateRange(start, end)
 
 
 def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
@@ -167,11 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _client_config(args: argparse.Namespace) -> ClientConfig:
-    """Defaults, then the config file, the environment and the flags.
-
-    A file that cannot be read, a setting of the wrong type or range, or a
-    proxy variable for the endpoint that is not a proxy URL is a usage error.
-    """
+    """Defaults, then the config file, the environment and the flags."""
     updates: dict[str, object] = {}
     if args.endpoint:
         updates["endpoint"] = args.endpoint
@@ -179,15 +166,15 @@ def _client_config(args: argparse.Namespace) -> ClientConfig:
         updates["cache_path"] = args.cache
     if args.no_cache:
         updates["bypass_cache"] = True
-    try:
-        config = ClientConfig()
-        if args.client_config:
+    config = ClientConfig()
+    if args.client_config:
+        try:
             config = ClientConfig.from_file(args.client_config)
-        config = replace(config.with_env_overrides(), **updates)
-        check_proxy(config.endpoint)
-        return config
-    except (OSError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+        except OSError as exc:
+            raise ConfigError(str(exc)) from exc
+    config = replace(config.with_env_overrides(), **updates)
+    check_proxy(config.endpoint)
+    return config
 
 
 @contextmanager
@@ -201,13 +188,13 @@ def _open_provider(args: argparse.Namespace):
     kind = args.provider
     if kind is None:
         if args.index and args.endpoint:
-            raise UsageError("both --index and --endpoint given; pick one or set --provider")
+            raise ConfigError("both --index and --endpoint given; pick one or set --provider")
         kind = "local" if args.index else "remote" if args.endpoint else None
         if kind is None:
-            raise UsageError("no count backend: give --index PATH or --endpoint URL")
+            raise ConfigError("no count backend: give --index PATH or --endpoint URL")
     if kind == "local":
         if not args.index:
-            raise UsageError("--provider local requires --index PATH")
+            raise ConfigError("--provider local requires --index PATH")
         for flag, given in (
             ("--endpoint", args.endpoint),
             ("--client-config", args.client_config),
@@ -215,7 +202,7 @@ def _open_provider(args: argparse.Namespace):
             ("--no-cache", args.no_cache),
         ):
             if given:
-                raise UsageError(f"{flag} applies only to the remote backend")
+                raise ConfigError(f"{flag} applies only to the remote backend")
         index = load_index(args.index)
         identity = {
             "kind": "local",
@@ -227,7 +214,7 @@ def _open_provider(args: argparse.Namespace):
         yield IndexCountProvider(index), identity, 1
         return
     if args.index:
-        raise UsageError("--index conflicts with --provider remote")
+        raise ConfigError("--index conflicts with --provider remote")
     config = _client_config(args)
     client = EpmcCountClient(config)
     identity = {
@@ -243,15 +230,11 @@ def _open_provider(args: argparse.Namespace):
 
 
 def _utf8(text: str, what: str) -> str:
-    """``text``, or a usage error when it holds bytes that are not UTF-8.
-
-    Python reads such bytes in an argument or a file name as lone
-    surrogates, which no index, results file or request can carry.
+    """``text``, or a usage error when UTF-8 cannot store it: no index, file
+    that litminer writes or request can carry it.
     """
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise UsageError(f"{what} {text!r} is not UTF-8 text") from None
+    if not is_utf8(text):
+        raise ConfigError(f"{what} {text!r} is not UTF-8 text")
     return text
 
 
@@ -273,10 +256,10 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     if len(args.phrases) > 2:
-        raise UsageError("count takes one phrase, or a TERM KEY_PHRASE pair")
+        raise ConfigError("count takes one phrase, or a TERM KEY_PHRASE pair")
     for phrase in args.phrases:
         if not normalize_tokenize(_utf8(phrase, "phrase")):
-            raise UsageError(f"phrase {phrase!r} contains no indexable tokens")
+            raise ConfigError(f"phrase {phrase!r} contains no indexable tokens")
     date_range = _date_range(args)
     with _open_provider(args) as (provider, _identity, _workers):
         article_total = provider.article_total(date_range)
@@ -307,9 +290,9 @@ def _read_terms(path: str) -> list[str]:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise UsageError(f"cannot read terms file: {exc}") from exc
+        raise ConfigError(f"cannot read terms file: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise UsageError(f"terms file {path} is not UTF-8 text ({exc.reason})") from exc
+        raise ConfigError(f"terms file {path} is not UTF-8 text ({exc.reason})") from exc
     terms = []
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -317,25 +300,26 @@ def _read_terms(path: str) -> list[str]:
             try:
                 check_tsv_field(stripped)
             except ValueError as exc:
-                raise UsageError(f"terms file {path} line {line_no}: term {exc}") from exc
+                raise ConfigError(f"terms file {path} line {line_no}: term {exc}") from exc
             terms.append(stripped)
     if not terms:
-        raise UsageError(f"terms file {path} contains no terms")
+        raise ConfigError(f"terms file {path} contains no terms")
     return terms
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    _utf8(args.key_phrase, "key phrase")
-    date_range = _date_range(args)
-    terms = _read_terms(args.terms)
+    # The manifest records these paths, and it is written as UTF-8.
+    for flag, path in (("--index", args.index), ("--terms", args.terms), ("--output", args.output)):
+        if path is not None:
+            _utf8(path, flag)
+    config = MinerConfig(
+        key_phrase=_utf8(args.key_phrase, "key phrase"),
+        date_range=_date_range(args),
+        target_terms=tuple(_read_terms(args.terms)),
+        p_threshold=args.p_threshold,
+        ranking_mode=RankingMode(args.ranking_mode),
+    )
     with _open_provider(args) as (provider, identity, parallelism):
-        config = MinerConfig(
-            key_phrase=args.key_phrase,
-            target_terms=tuple(terms),
-            date_range=date_range,
-            p_threshold=args.p_threshold,
-            ranking_mode=RankingMode(args.ranking_mode),
-        )
         started_at = datetime.now(timezone.utc)
         run = run_mining(provider, config, parallelism=parallelism)
         finished_at = datetime.now(timezone.utc)
@@ -355,7 +339,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         "provider": identity,
         **run_parameters(run),
         "terms_file": str(args.terms),
-        "input_term_count": len(terms),
+        "input_term_count": len(config.target_terms),
         "parallelism": parallelism,
         "format": args.format,
         "output": str(out_path),

@@ -24,9 +24,9 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 from urllib.parse import SplitResult, unquote, urlencode, urlsplit
 
-from . import LitminerError, __version__
+from . import ConfigError, LitminerError, __version__
 from .index import DateRange
-from .tokenizer import InvalidPhraseError
+from .tokenizer import InvalidPhraseError, is_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -284,7 +284,7 @@ def _proxy_route(parts: SplitResult) -> tuple[tuple[str, int], dict[str, str]] |
 
 
 def check_proxy(url: str) -> None:
-    """Raise ``ValueError`` when the proxy variable for ``url`` is not a proxy URL.
+    """Raise ``ConfigError`` when the proxy variable for ``url`` is not a proxy URL.
 
     The message names the variable, never its value.
     """
@@ -293,15 +293,15 @@ def check_proxy(url: str) -> None:
     try:
         _proxy_route(urlsplit(url))
     except http.client.InvalidURL as exc:
-        raise ValueError(str(exc)) from None
+        raise ConfigError(str(exc)) from None
 
 
 def _str(value: Any) -> bool:
-    return isinstance(value, str)
+    return isinstance(value, str) and is_utf8(value)
 
 
 def _optional_str(value: Any) -> bool:
-    return value is None or isinstance(value, str)
+    return value is None or _str(value)
 
 
 def _number(value: Any) -> bool:
@@ -354,7 +354,7 @@ class ClientConfig:
     """Remote backend settings; see README for the config file keys.
 
     Every setting's type and range is checked on construction, so a bad
-    value fails with a ``ValueError`` naming it before any request is made.
+    value fails with a ``ConfigError`` naming it before any request is made.
     """
 
     endpoint: str = _setting(
@@ -363,12 +363,12 @@ class ClientConfig:
         "an ASCII http or https URL with a host, no user info and no blanks",
         "LITMINER_ENDPOINT",
     )
-    count_field: str = _setting(DEFAULT_COUNT_FIELD, _str, "a string", "LITMINER_COUNT_FIELD")
+    count_field: str = _setting(DEFAULT_COUNT_FIELD, _str, "UTF-8 text", "LITMINER_COUNT_FIELD")
     count_params: Mapping[str, str] = _setting(
-        DEFAULT_COUNT_PARAMS, _str_mapping, "an object of string values"
+        DEFAULT_COUNT_PARAMS, _str_mapping, "an object of UTF-8 string values"
     )
-    api_key: str | None = _setting(None, _optional_str, "a string or null", "LITMINER_API_KEY")
-    api_key_param: str = _setting("apiKey", _str, "a string")
+    api_key: str | None = _setting(None, _optional_str, "UTF-8 text or null", "LITMINER_API_KEY")
+    api_key_param: str = _setting("apiKey", _str, "UTF-8 text")
     # Above TIMEOUT_MAX seconds a wait overflows the platform's time_t, so
     # the pacing interval, the backoffs and the timeout are bounded by it.
     requests_per_second: float = _setting(
@@ -387,18 +387,20 @@ class ClientConfig:
         f"a number > 0 and <= {threading.TIMEOUT_MAX:.0f}",
         "LITMINER_TIMEOUT",
     )
-    cache_path: str | None = _setting(None, _optional_str, "a string or null", "LITMINER_CACHE")
+    cache_path: str | None = _setting(None, _optional_str, "UTF-8 text or null", "LITMINER_CACHE")
     bypass_cache: bool = _setting(
         False, lambda v: isinstance(v, bool), "true or false", cli_only=True
     )
-    source_label: str = _setting("europepmc", _str, "a string")
+    source_label: str = _setting("europepmc", _str, "UTF-8 text")
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if not f.metadata["valid"](value):
+                # The API key is a credential, so its value stays out of errors.
+                got = "" if f.name == "api_key" else f", got {value!r}"
                 expected = f.metadata["expected"]
-                raise ValueError(f"client setting {f.name!r} must be {expected}, got {value!r}")
+                raise ConfigError(f"client setting {f.name!r} must be {expected}{got}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ClientConfig":
@@ -406,18 +408,18 @@ class ClientConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: client config is not valid JSON: {exc}") from exc
+            except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to read
+                raise ConfigError(f"{path}: client config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise ValueError(f"{path}: client config must be a JSON object")
+            raise ConfigError(f"{path}: client config must be a JSON object")
         accepted = {f.name for f in fields(cls) if not f.metadata["cli_only"]}
         unknown = sorted(set(data) - accepted)
         if unknown:
-            raise ValueError(f"{path}: unknown client config keys: {unknown}")
+            raise ConfigError(f"{path}: unknown client config keys: {unknown}")
         try:
             return cls(**data)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def with_env_overrides(self, env: Mapping[str, str] | None = None) -> "ClientConfig":
         """Apply LITMINER_* environment variables on top of this config, in field order."""
@@ -430,8 +432,8 @@ class ClientConfig:
                 parse = str if setting.default is None else type(setting.default)
                 try:
                     config = replace(config, **{setting.name: parse(value)})
-                except ValueError as exc:
-                    raise ValueError(f"{variable}={value!r}: {exc}") from exc
+                except ValueError as exc:  # it shows the value, unless that is the API key
+                    raise ConfigError(f"{variable}: {exc}") from exc
         return config
 
 

@@ -12,7 +12,7 @@ from itertools import accumulate, chain, compress, count, islice, pairwise, repe
 from operator import and_, countOf, getitem, itemgetter, lshift, lt, ne, sub
 from typing import Iterable, Sequence
 
-from . import LitminerError
+from . import ConfigError, LitminerError
 from .tokenizer import TokenizedPhrase, normalize_tokenize
 
 # Typecode of the arrays that hold dates, doc ids, offsets and positions:
@@ -52,7 +52,7 @@ class DateRange:
         if not isinstance(self.start, date) or not isinstance(self.end, date):
             raise ValueError("DateRange bounds must be dates")
         if self.end < self.start:
-            raise ValueError(f"date range ends before it starts: {self.start} .. {self.end}")
+            raise ConfigError(f"date range ends before it starts: {self.start} .. {self.end}")
 
     def __str__(self) -> str:
         return f"{self.start.isoformat()} .. {self.end.isoformat()}"

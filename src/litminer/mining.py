@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol, Sequence, runtime_checkable
 
-from . import LitminerError
+from . import ConfigError, LitminerError
 from .index import DateRange, PostingsIndex
 from .stats import (
     InconsistentCountsError,
@@ -19,12 +19,6 @@ from .stats import (
 from .tokenizer import TokenizedPhrase, normalize_tokenize
 
 DEFAULT_P_THRESHOLD = 1e-5
-
-
-class ConfigError(LitminerError, ValueError):
-    """Raised when a run configuration is unusable."""
-
-    exit_code = 2
 
 
 class MiningError(LitminerError, RuntimeError):
@@ -82,13 +76,15 @@ class IndexCountProvider:
 
 @dataclass(frozen=True)
 class MinerConfig:
+    """One run's inputs, checked on construction: a bad one raises ``ConfigError``."""
+
     key_phrase: str
     target_terms: tuple[str, ...]
     date_range: DateRange
     p_threshold: float = DEFAULT_P_THRESHOLD
     ranking_mode: RankingMode = RankingMode.TERM_DENOMINATOR
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not normalize_tokenize(self.key_phrase):
             raise ConfigError(f"key phrase {self.key_phrase!r} contains no indexable tokens")
         if not self.target_terms:
@@ -232,7 +228,6 @@ def run_mining(
     failures mark that term failed and the run continues; a failure on the
     up-front totals, or failure of every single term, aborts the run.
     """
-    config.validate()
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     unique_terms, duplicates = deduplicate_terms(config.target_terms)

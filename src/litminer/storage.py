@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import LitminerError
 from .index import U32, Document, IndexFormatError, PostingsIndex
-from .tokenizer import TOKENIZER_VERSION
+from .tokenizer import TOKENIZER_VERSION, is_utf8
 
 INDEX_MAGIC = b"LITMIDX\x00"
 INDEX_FORMAT_VERSION = 2
@@ -104,12 +104,10 @@ def parse_corpus_line(line: str, line_no: int) -> Document:
     doc_id = record["id"]
     if not doc_id:
         raise CorpusFormatError(line_no, "field 'id' is empty")
-    try:
-        doc_id.encode("utf-8")
-    except UnicodeEncodeError:
+    if not is_utf8(doc_id):
         raise CorpusFormatError(
             line_no, f"field 'id' {doc_id!r} holds a lone surrogate, which UTF-8 cannot store"
-        ) from None
+        )
     raw_date = record["date"]
     try:
         pub_date = parse_date(raw_date)

@@ -20,10 +20,20 @@ TOKENIZER_VERSION = 1
 _TOKEN_RE = re.compile(r"[^\W_]+")
 # Letters and digits (ASCII only) to their lowercase forms, other bytes to a space.
 _ASCII_TOKEN_BYTES = bytes(b if bytes((b,)).isalnum() else 32 for b in bytes(range(256)).lower())
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 class InvalidPhraseError(LitminerError, ValueError):
     """Raised when a phrase contains no indexable tokens."""
+
+
+def is_utf8(text: str) -> bool:
+    """Whether UTF-8 can store ``text``, that is, it holds no surrogate code point.
+
+    Python reads a byte that is not UTF-8 in an argument, a file name or an
+    environment variable as a lone surrogate, and JSON may spell one.
+    """
+    return text.isascii() or _SURROGATE_RE.search(text) is None
 
 
 def normalize_tokenize(text: str) -> list[str]:

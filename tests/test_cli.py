@@ -241,6 +241,9 @@ class TestClientConfigErrors:
             ),
             pytest.param('{"timeout": -1}', {}, "timeout", id="negative timeout"),
             pytest.param(
+                '{"timeout": 1' + "0" * 5000 + "}", {}, "client.json", id="integer too long to read"
+            ),
+            pytest.param(
                 '{"backoff_base": Infinity, "backoff_cap": Infinity}',
                 {},
                 "backoff_base",
@@ -268,6 +271,12 @@ class TestClientConfigErrors:
             pytest.param(
                 None, {"LITMINER_MAX_IN_FLIGHT": "0"}, "LITMINER_MAX_IN_FLIGHT", id="env out of range"
             ),
+            pytest.param(
+                '{"source_label": "\\udcff"}', {}, "source_label", id="lone surrogate in file"
+            ),
+            pytest.param(
+                None, {"LITMINER_API_KEY": "s3cret\udcff"}, "LITMINER_API_KEY", id="env not UTF-8"
+            ),
         ],
     )
     def test_bad_setting_is_usage_error(
@@ -287,6 +296,7 @@ class TestClientConfigErrors:
         assert "usage error" in captured.err
         assert named in captured.err
         assert "Traceback" not in captured.err
+        assert "s3cret" not in captured.err  # no API key is printed
 
     @pytest.mark.parametrize(
         "endpoint", ["example.org/search", "ftp://127.0.0.1/x", "http://u:p@127.0.0.1:9/x"]
@@ -720,6 +730,10 @@ GOOD_LINE = b'{"id": "a", "date": "2001-01-01", "text": "stem cell"}\n'
             ("terms file", 2, "usage error: terms file terms.txt is not UTF-8 text"),
             ("count phrase", 2, "usage error: phrase 'alpha\\udcff' is not UTF-8 text"),
             ("key phrase", 2, "usage error: key phrase 'stem\\udcff' is not UTF-8 text"),
+            ("mine index path", 2, "usage error: --index 'i\\udcff.idx' is not UTF-8 text"),
+            ("mine terms path", 2, "usage error: --terms 't\\udcff.txt' is not UTF-8 text"),
+            ("mine output path", 2, "usage error: --output 'r\\udcff' is not UTF-8 text"),
+            ("cache path", 2, "usage error: client setting 'cache_path' must be UTF-8 text"),
             ("torn cache", 0, "counts.jsonl: skipping unreadable cache line 1"),
         ]
     ],
@@ -741,26 +755,35 @@ def test_text_that_is_not_utf8_ends_in_one_line(six_index_file, tmp_path, case, 
         index_args[2] = corpus
     (tmp_path / "terms.txt").write_bytes(b"alpha\n\xff\n")
     (tmp_path / "counts.jsonl").write_bytes(b'{"query": "\xc3')
+    # Good files, some under names whose bytes are not UTF-8, for the mine paths.
+    for name in (b"alpha.txt", b"t\xff.txt"):
+        (tmp_path / os.fsdecode(name)).write_bytes(b"alpha\n")
+    (tmp_path / os.fsdecode(b"i\xff.idx")).write_bytes(six_index_file.read_bytes())
+    before = set(tmp_path.iterdir())
     src = str(Path(litminer.__file__).resolve().parent.parent)
     with CountingStubServer() as server:
         mine_args = ["mine", "--index", six_index_file, "--output", "r.tsv", "--key-phrase"]
+        alpha = ["--key-phrase", "stem cell", "--terms", "alpha.txt"]
         args = {
             "terms file": [*mine_args, "stem cell", "--terms", "terms.txt"],
             "key phrase": [*mine_args, b"stem\xff", "--terms", "terms.txt"],
+            "mine index path": ["mine", "--index", b"i\xff.idx", "--output", "r.tsv", *alpha],
+            "mine terms path": [*mine_args, "stem cell", "--terms", b"t\xff.txt"],
+            "mine output path": ["mine", "--index", six_index_file, "--output", b"r\xff", *alpha],
             "count phrase": ["count", "--index", six_index_file, b"alpha\xff"],
             "torn cache": ["count", "--endpoint", server.url, "--cache", "counts.jsonl", "alpha"],
+            "cache path": ["count", "--endpoint", server.url, "--cache", b"c\xff", "alpha"],
         }.get(case, index_args)
         done = subprocess.run(
             [sys.executable, "-m", "litminer.cli", *args],
             cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             timeout=60,
         )
     assert "Traceback" not in done.stderr
     assert done.stderr.splitlines() == [done.stderr.strip()]
     assert named in done.stderr
     assert done.returncode == code
-    assert not output.exists()
-    assert not (tmp_path / "r.tsv").exists()
+    assert set(tmp_path.iterdir()) == before

@@ -492,11 +492,28 @@ class TestClientConfig:
             ("endpoint", "ftp://host/x"),
             ("endpoint", "http://u:p@host/x"),
             ("endpoint", "http://host:70000/x"),
+            ("count_field", "hit\udcff"),
+            ("count_params", {"format": "\udcff"}),
+            ("api_key", "k\udcff"),
+            ("api_key_param", "\udcff"),
+            ("cache_path", "c\udcff.jsonl"),
+            ("source_label", "\udcff"),
         ],
     )
     def test_bad_setting_is_named(self, name, value):
         with pytest.raises(ValueError, match=f"'{name}' must be"):
             ClientConfig(**{name: value})
+
+    @pytest.mark.parametrize("key", [7, "s3cret\udcff"])
+    def test_api_key_stays_out_of_the_refusal(self, key):
+        with pytest.raises(ValueError, match="'api_key' must be UTF-8 text or null$"):
+            ClientConfig(api_key=key)
+
+    def test_config_file_that_is_not_utf8_is_refused(self, tmp_path):
+        path = tmp_path / "client.json"
+        path.write_bytes(b'{"source_label": "\xff"}')
+        with pytest.raises(ValueError, match="client config is not valid JSON"):
+            ClientConfig.from_file(path)
 
     def test_longest_timeout_a_request_can_wait(self):
         assert ClientConfig(timeout=threading.TIMEOUT_MAX).timeout == threading.TIMEOUT_MAX

@@ -52,32 +52,30 @@ class TestDeduplicateTerms:
 class TestConfigValidation:
     def test_empty_terms(self, full_range):
         with pytest.raises(ConfigError):
-            make_config(full_range, []).validate()
+            make_config(full_range, [])
 
     def test_zero_token_terms_listed(self, full_range):
         with pytest.raises(ConfigError, match="!!!"):
-            make_config(full_range, ["alpha", "!!!"]).validate()
+            make_config(full_range, ["alpha", "!!!"])
 
     def test_untokenizable_key_phrase(self, full_range):
-        config = MinerConfig(
-            key_phrase="???",
-            target_terms=("alpha",),
-            date_range=full_range,
-            p_threshold=0.1,
-        )
         with pytest.raises(ConfigError):
-            config.validate()
+            MinerConfig(
+                key_phrase="???",
+                target_terms=("alpha",),
+                date_range=full_range,
+                p_threshold=0.1,
+            )
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5])
     def test_threshold_out_of_range(self, full_range, threshold):
         with pytest.raises(ConfigError):
-            make_config(full_range, ["alpha"], threshold=threshold).validate()
+            make_config(full_range, ["alpha"], threshold=threshold)
 
     def test_plain_string_ranking_mode(self, full_range):
         # RankingMode is a str Enum, so its value compares equal but is not a mode.
-        config = make_config(full_range, ["alpha"], mode="term-denominator")
         with pytest.raises(ConfigError, match="unknown ranking mode 'term-denominator'"):
-            config.validate()
+            make_config(full_range, ["alpha"], mode="term-denominator")
 
     def test_bad_parallelism(self, full_range):
         provider = StubCountProvider(6, "stem cell", 3, {"alpha": (3, 3)})

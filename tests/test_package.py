@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from datetime import date
 from importlib import import_module
 from pathlib import Path
 
@@ -17,7 +18,7 @@ SRC = str(Path(litminer.__file__).resolve().parent.parent)
 def test_all_is_the_table_of_public_names():
     table = [name for names in litminer._PUBLIC_NAMES.values() for name in names]
     assert len(set(table)) == len(table)
-    assert litminer.__all__ == ["LitminerError", "__version__", *sorted(table)]
+    assert litminer.__all__ == ["ConfigError", "LitminerError", "__version__", *sorted(table)]
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -50,30 +51,49 @@ for name in ("index", "mining", "stats", "epmc", "storage", "tokenizer"):
 """
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run(
-        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", program], env=env, capture_output=True, encoding="utf-8", timeout=60
     )
     assert done.returncode == 0, done.stderr
 
 
 def test_every_error_class_states_its_exit_status():
-    """Each exception a litminer module defines is a LitminerError, with status 1 or 2.
+    """Each exception litminer or one of its modules defines is a LitminerError.
 
-    Each keeps its ValueError or RuntimeError base, so callers' except clauses
-    still match; only the command line's own UsageError has neither.
+    Each but LitminerError itself keeps a ValueError or RuntimeError base, so
+    callers' except clauses still match; ConfigError alone has exit status 2.
     """
     errors = {}
-    for info in pkgutil.iter_modules(litminer.__path__):
-        module = import_module(f"litminer.{info.name}")
+    names = [f"litminer.{info.name}" for info in pkgutil.iter_modules(litminer.__path__)]
+    for module in [litminer, *map(import_module, names)]:
         for value in vars(module).values():
             if isinstance(value, type) and issubclass(value, BaseException):
                 if value.__module__ == module.__name__:
                     errors[value.__name__] = value
-    assert {"CorpusFormatError", "TransportError", "UsageError"} <= set(errors)
+    assert {"ConfigError", "CorpusFormatError", "LitminerError", "TransportError"} <= set(errors)
     for name, error in errors.items():
         assert issubclass(error, litminer.LitminerError), name
         assert error.exit_code in (1, 2), name
-        assert issubclass(error, (ValueError, RuntimeError)) or name == "UsageError", name
-    assert {name for name, error in errors.items() if error.exit_code == 2} == {
-        "ConfigError",
-        "UsageError",
-    }
+        if error is not litminer.LitminerError:
+            assert issubclass(error, (ValueError, RuntimeError)), name
+    assert {name for name, error in errors.items() if error.exit_code == 2} == {"ConfigError"}
+
+
+def test_each_check_of_bad_input_raises_config_error(tmp_path, monkeypatch):
+    """Library callers get a ConfigError, a ValueError, from the check that finds bad input."""
+    assert import_module("litminer.mining").ConfigError is litminer.ConfigError
+    monkeypatch.setenv("http_proxy", "http://127.0.0.1:abc")
+    monkeypatch.setenv("no_proxy", "")
+    path = tmp_path / "client.json"
+    path.write_text('{"timeout": -1}', encoding="utf-8")
+    day = date(2001, 1, 1)
+    refusals = [
+        lambda: litminer.DateRange(day, date(2000, 1, 1)),
+        lambda: litminer.MinerConfig("!!!", ("alpha",), litminer.DateRange(day, day)),
+        lambda: litminer.ClientConfig(timeout=-1),
+        lambda: litminer.ClientConfig.from_file(path),
+        lambda: litminer.ClientConfig().with_env_overrides({"LITMINER_TIMEOUT": "soon"}),
+        lambda: litminer.epmc.check_proxy("http://example.org/search"),
+    ]
+    for refuse in refusals:
+        with pytest.raises(litminer.ConfigError):
+            refuse()

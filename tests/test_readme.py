@@ -83,7 +83,12 @@ def test_quick_start_runs_without_requests(tmp_path):
     paths = [str(Path(litminer.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     done = subprocess.run(
-        ["bash", "-c", shell], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        ["bash", "-c", shell],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        encoding="utf-8",
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith(expected)
