@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from datetime import date, datetime, timezone
 from pathlib import Path
+from typing import NoReturn
 
 from . import ConfigError, LitminerError, __version__
 from .epmc import (
@@ -100,8 +101,15 @@ def _add_range_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its refusals as usage errors, so ``main`` reports them in one line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="litminer",
         description="Rank candidate terms by co-occurrence with a key phrase.",
     )
@@ -229,17 +237,8 @@ def _open_provider(args: argparse.Namespace):
         client.close()
 
 
-def _utf8(text: str, what: str) -> str:
-    """``text``, or a usage error when UTF-8 cannot store it: no index, file
-    that litminer writes or request can carry it.
-    """
-    if not is_utf8(text):
-        raise ConfigError(f"{what} {text!r} is not UTF-8 text")
-    return text
-
-
 def cmd_index(args: argparse.Namespace) -> int:
-    name = _utf8(args.name if args.name is not None else Path(args.corpus).stem, "corpus name")
+    name = args.name if args.name is not None else Path(args.corpus).stem
     documents = list(read_corpus(args.corpus))
     index = build_index(documents, corpus_name=name)
     save_index(index, args.output)
@@ -258,7 +257,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     if len(args.phrases) > 2:
         raise ConfigError("count takes one phrase, or a TERM KEY_PHRASE pair")
     for phrase in args.phrases:
-        if not normalize_tokenize(_utf8(phrase, "phrase")):
+        if not normalize_tokenize(phrase):
             raise ConfigError(f"phrase {phrase!r} contains no indexable tokens")
     date_range = _date_range(args)
     with _open_provider(args) as (provider, _identity, _workers):
@@ -308,12 +307,8 @@ def _read_terms(path: str) -> list[str]:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    # The manifest records these paths, and it is written as UTF-8.
-    for flag, path in (("--index", args.index), ("--terms", args.terms), ("--output", args.output)):
-        if path is not None:
-            _utf8(path, flag)
     config = MinerConfig(
-        key_phrase=_utf8(args.key_phrase, "key phrase"),
+        key_phrase=args.key_phrase,
         date_range=_date_range(args),
         target_terms=tuple(_read_terms(args.terms)),
         p_threshold=args.p_threshold,
@@ -365,13 +360,17 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        # Every argument can end up in a file name, the manifest, an index or
+        # a request, and all of those are UTF-8.
+        for arg in argv:
+            if not is_utf8(arg):
+                raise ConfigError(f"argument {arg!r} is not UTF-8 text")
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # -h or --version, after printing
+        return int(exc.code or 0)
     except LitminerError as exc:
         print(f"{'usage error' if exc.exit_code == 2 else 'error'}: {exc}", file=sys.stderr)
         return exc.exit_code

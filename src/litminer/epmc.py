@@ -5,11 +5,14 @@ this backend delegates all counting to it: each pipeline count becomes a
 search request asking for the hit total only, with no records returned.
 Responses are cached on disk keyed by the exact query string, because
 live corpora grow over time and a run should be reproducible afterwards.
+A cached answer is used only by a client of the same service: the same
+endpoint, count field and count parameters.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import logging
 import os
@@ -89,14 +92,18 @@ def build_query(*phrases: str, date_range: DateRange) -> str:
 class CountCache:
     """Append-only JSON Lines store of count answers; later lines win.
 
-    Each line is one object: {"query", "count", "fetched_at", "source"}.
-    The file is an expendable cache: deleting it wholesale is always safe.
-    Unreadable lines are skipped with a warning so a torn final write
-    cannot brick the store.
+    Each line is one object: {"query", "count", "fetched_at", "source",
+    "service"}, where ``service`` names the service that gave the count.
+    Only lines of this cache's ``service`` are read: lines of another one,
+    and lines an older litminer wrote with none, are skipped with one
+    warning, so their queries are asked again.  The file is an expendable
+    cache: deleting it wholesale is always safe.  Unreadable lines are
+    skipped with a warning so a torn final write cannot brick the store.
     """
 
-    def __init__(self, path: str | Path | None):
+    def __init__(self, path: str | Path | None, service: str | None = None):
         self._path = Path(path) if path is not None else None
+        self._service = service
         self._lock = threading.Lock()
         self._entries: dict[str, int] = {}
         self._dir_made = False
@@ -106,6 +113,7 @@ class CountCache:
     def _load(self) -> None:
         # Bytes, so a line torn inside a character fails to decode, a
         # ValueError, and is skipped like any other unreadable line.
+        other_service = 0
         with open(self._path, "rb") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -120,7 +128,16 @@ class CountCache:
                 except (ValueError, KeyError, TypeError):
                     logger.warning("%s: skipping unreadable cache line %d", self._path, line_no)
                     continue
+                if record.get("service") != self._service:
+                    other_service += 1
+                    continue
                 self._entries[query_string] = count
+        if other_service:
+            logger.warning(
+                "%s: skipping %d cache lines of another service or of an older litminer",
+                self._path,
+                other_service,
+            )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -136,6 +153,7 @@ class CountCache:
                 "count": count,
                 "fetched_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
                 "source": source,
+                "service": self._service,
             },
             ensure_ascii=False,
         )
@@ -441,9 +459,13 @@ class EpmcCountClient:
     """Issues count-only search requests with caching, pacing and retry."""
 
     def __init__(self, config: ClientConfig | None = None, session: Any = None):
-        self.config = config or ClientConfig()
+        self.config = config = config or ClientConfig()
         self._session = session if session is not None else HttpSession()
-        self.cache = CountCache(self.config.cache_path)
+        # A digest of what the answers depend on: neither the API key nor a
+        # token in the endpoint's own query string reaches the cache file.
+        service = [config.endpoint, config.count_field, sorted(config.count_params.items())]
+        digest = hashlib.sha256(json.dumps(service).encode()).hexdigest()[:16]
+        self.cache = CountCache(config.cache_path, digest)
         self._limiter = RateLimiter(
             self.config.requests_per_second, self.config.max_in_flight
         )
@@ -455,9 +477,9 @@ class EpmcCountClient:
     def fetch_count(self, query_string: str) -> int:
         """Hit count for ``query_string``, from cache when possible.
 
-        Cache lookups are keyed by the exact query string.  With
-        ``bypass_cache`` the service is always asked, and the fresh answer
-        still refreshes the cache for later runs.
+        Cache lookups are keyed by the exact query string, among this
+        service's answers.  With ``bypass_cache`` the service is always
+        asked, and the fresh answer still refreshes the cache for later runs.
         """
         if not self.config.bypass_cache:
             cached = self.cache.get(query_string)
@@ -504,8 +526,9 @@ class EpmcCountClient:
                         ) from exc
                 last_failure = f"HTTP {status}"
                 if 300 <= status < 400:
-                    # Not followed: the cache is keyed by query alone.  The
-                    # Location's query may echo the API key, so it is left out.
+                    # Not followed: the cache would file another URL's answer
+                    # under this endpoint.  The Location's query may echo the
+                    # API key, so it is left out.
                     location = response.headers.get("Location", "").split("?")[0]
                     raise TransportError(query_string, f"{last_failure} to {location}")
                 if not (status == 429 or 500 <= status < 600):

@@ -710,9 +710,71 @@ class TestMineRemote:
             assert manifest["provider"]["endpoint"] == server.url
 
 
+def test_cached_count_answers_only_for_its_endpoint(tmp_path, monkeypatch, capsys):
+    """A count cached from one endpoint is never printed for another."""
+    monkeypatch.chdir(tmp_path)
+    query = '"alpha" AND (FIRST_PDATE:[1900-01-01 TO 2004-12-31])'
+    with CountingStubServer({query: 5}) as first, CountingStubServer({query: 7}) as second:
+        for server, count in ((first, 5), (second, 7)):
+            args = ["count", "--endpoint", server.url, "--cache", "c.jsonl", "--to", "2004-12-31"]
+            assert main([*args, "alpha"]) == 0
+            assert f'count["alpha"]: {count}' in capsys.readouterr().out
+            assert server.request_count == 2  # the article total and the phrase
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "litminer" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [["-h"], ["mine", "-h"]], ids=["top level", "subcommand"])
+def test_help_flag(capsys, args):
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(" ".join(["usage: litminer", *args[:-1]]))
+    assert captured.err == ""
+
+
+MINE_ARGS = ["mine", "--index", "x.idx", "--key-phrase", "stem cell", "--output", "r.tsv"]
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        pytest.param(
+            ["count", "--from", "2004-W01-1", "alpha"],
+            "argument --from: '2004-W01-1' is not a YYYY-MM-DD date",
+            id="bad date",
+        ),
+        pytest.param(
+            [*MINE_ARGS, "--terms", "t.txt", "--p-threshold", "abc"],
+            "argument --p-threshold: invalid float value: 'abc'",
+            id="bad number",
+        ),
+        pytest.param(
+            [*MINE_ARGS, "--terms", "t.txt", "--format", "xml"],
+            "argument --format: invalid choice: 'xml'",
+            id="bad choice",
+        ),
+        pytest.param(
+            MINE_ARGS, "the following arguments are required: --terms", id="missing option"
+        ),
+        pytest.param(
+            ["count", "--index", "x.idx", "--colour", "alpha"],
+            "unrecognized arguments: --colour",
+            id="unknown flag",
+        ),
+        pytest.param([], "the following arguments are required: command", id="no subcommand"),
+    ],
+)
+def test_parser_refusal_is_one_usage_error_line(tmp_path, monkeypatch, capsys, args, named):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(f"usage error: {named}")
+    assert list(tmp_path.iterdir()) == []
 
 
 GOOD_LINE = b'{"id": "a", "date": "2001-01-01", "text": "stem cell"}\n'
@@ -725,15 +787,16 @@ GOOD_LINE = b'{"id": "a", "date": "2001-01-01", "text": "stem cell"}\n'
         for case, code, named in [
             ("corpus byte", 1, "error: line 2: byte 45 is not valid UTF-8"),
             ("corpus id", 1, "error: line 2: field 'id' '\\udcff' holds a lone surrogate"),
-            ("corpus name", 2, "usage error: corpus name '\\udcff' is not UTF-8 text"),
-            ("corpus file stem", 2, "usage error: corpus name '\\udcff' is not UTF-8 text"),
+            ("corpus name", 2, "usage error: argument '\\udcff' is not UTF-8 text"),
+            ("corpus file stem", 2, "\\udcff.jsonl' is not UTF-8 text"),
+            ("index output path", 2, "usage error: argument 'q\\udcff.idx' is not UTF-8 text"),
             ("terms file", 2, "usage error: terms file terms.txt is not UTF-8 text"),
-            ("count phrase", 2, "usage error: phrase 'alpha\\udcff' is not UTF-8 text"),
-            ("key phrase", 2, "usage error: key phrase 'stem\\udcff' is not UTF-8 text"),
-            ("mine index path", 2, "usage error: --index 'i\\udcff.idx' is not UTF-8 text"),
-            ("mine terms path", 2, "usage error: --terms 't\\udcff.txt' is not UTF-8 text"),
-            ("mine output path", 2, "usage error: --output 'r\\udcff' is not UTF-8 text"),
-            ("cache path", 2, "usage error: client setting 'cache_path' must be UTF-8 text"),
+            ("count phrase", 2, "usage error: argument 'alpha\\udcff' is not UTF-8 text"),
+            ("key phrase", 2, "usage error: argument 'stem\\udcff' is not UTF-8 text"),
+            ("mine index path", 2, "usage error: argument 'i\\udcff.idx' is not UTF-8 text"),
+            ("mine terms path", 2, "usage error: argument 't\\udcff.txt' is not UTF-8 text"),
+            ("mine output path", 2, "usage error: argument 'r\\udcff' is not UTF-8 text"),
+            ("cache path", 2, "usage error: argument 'c\\udcff' is not UTF-8 text"),
             ("torn cache", 0, "counts.jsonl: skipping unreadable cache line 1"),
         ]
     ],
@@ -753,6 +816,9 @@ def test_text_that_is_not_utf8_ends_in_one_line(six_index_file, tmp_path, case, 
         corpus = tmp_path / os.fsdecode(b"\xff.jsonl")
         corpus.write_bytes(GOOD_LINE)
         index_args[2] = corpus
+    elif case == "index output path":
+        corpus.write_bytes(GOOD_LINE)
+        index_args[4] = b"q\xff.idx"
     (tmp_path / "terms.txt").write_bytes(b"alpha\n\xff\n")
     (tmp_path / "counts.jsonl").write_bytes(b'{"query": "\xc3')
     # Good files, some under names whose bytes are not UTF-8, for the mine paths.
@@ -777,7 +843,8 @@ def test_text_that_is_not_utf8_ends_in_one_line(six_index_file, tmp_path, case, 
         done = subprocess.run(
             [sys.executable, "-m", "litminer.cli", *args],
             cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": src},
+            # Strict UTF-8 stdout, where printing such text would raise.
+            env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"},
             capture_output=True,
             encoding="utf-8",
             timeout=60,

@@ -359,6 +359,61 @@ class TestCache:
         cache.put("q", 5, "test")
         assert cache.get("q") == 5
 
+    @pytest.mark.parametrize(
+        "setting, asks_again",
+        [
+            ({"endpoint": "http://other.example/search"}, True),
+            ({"count_field": "resultList.hitCount"}, True),
+            ({"count_params": {"format": "json"}}, True),
+            ({"api_key": "sesame"}, False),
+        ],
+        ids=["endpoint", "count field", "count params", "api key"],
+    )
+    def test_cached_count_answers_only_for_its_service(self, tmp_path, setting, asks_again):
+        """Answers depend on the endpoint and on how its count is read, not on the key."""
+        cache_path = str(tmp_path / "counts.jsonl")
+        EpmcCountClient(
+            fast_config(cache_path=cache_path), session=FakeSession([ok_response(5)])
+        ).fetch_count(self.query())
+        payload = {"hitCount": 7, "resultList": {"hitCount": 7}}
+        session = FakeSession([FakeResponse(payload=payload)])
+        client = EpmcCountClient(fast_config(cache_path=cache_path, **setting), session=session)
+        assert client.fetch_count(self.query()) == (7 if asks_again else 5)
+        assert len(session.calls) == (1 if asks_again else 0)
+
+    def test_file_of_an_older_litminer_is_asked_again(self, tmp_path, caplog):
+        path = tmp_path / "counts.jsonl"
+        lines = [
+            {"query": self.query(text), "count": 1, "fetched_at": "2020-01-01T00:00:00+00:00"}
+            for text in ("x", "y")
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        session = FakeSession([ok_response(4)])
+        with caplog.at_level("WARNING", logger="litminer.epmc"):
+            client = EpmcCountClient(fast_config(cache_path=str(path)), session=session)
+        assert client.fetch_count(self.query()) == 4
+        assert len(session.calls) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: skipping 2 cache lines of another service or of an older litminer"
+        ]
+
+    def test_file_holds_a_digest_of_the_service(self, tmp_path):
+        path = tmp_path / "counts.jsonl"
+        config = fast_config(
+            endpoint="http://host.example/search?token=t0ken",
+            api_key="s3cret",
+            cache_path=str(path),
+        )
+        client = EpmcCountClient(config, session=FakeSession([ok_response(4)]))
+        client.fetch_count(self.query())
+        client.fetch_count(self.query("y"))
+        text = path.read_text(encoding="utf-8")
+        for secret in ("host.example", "t0ken", "s3cret"):
+            assert secret not in text
+        services = {json.loads(line)["service"] for line in text.splitlines()}
+        assert len(services) == 1
+        assert all(c in "0123456789abcdef" for c in services.pop())
+
 
 class TestRateLimiter:
     def test_caps_concurrency(self):
