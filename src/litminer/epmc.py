@@ -125,7 +125,7 @@ class CountCache:
                         raise ValueError("bad record")
                     if not isinstance(count, int) or count < 0:
                         raise ValueError("bad count")
-                except (ValueError, KeyError, TypeError):
+                except (RecursionError, ValueError, KeyError, TypeError):
                     logger.warning("%s: skipping unreadable cache line %d", self._path, line_no)
                     continue
                 if record.get("service") != self._service:
@@ -426,7 +426,7 @@ class ClientConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to read
+            except (RecursionError, ValueError) as exc:  # not JSON or UTF-8, too deep or too long
                 raise ConfigError(f"{path}: client config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: client config must be a JSON object")
@@ -520,7 +520,7 @@ class EpmcCountClient:
                 if status == 200:
                     try:
                         return response.json()
-                    except ValueError as exc:
+                    except (RecursionError, ValueError) as exc:
                         raise ProtocolError(
                             query_string, f"response body is not JSON: {exc}"
                         ) from exc
@@ -552,7 +552,13 @@ class EpmcCountClient:
                 )
             node = node[part]
         if isinstance(node, str) and node.isdecimal():
-            node = int(node)
+            try:
+                node = int(node)
+            except ValueError:  # more digits than int() reads
+                raise ProtocolError(
+                    query_string,
+                    f"count field {self.config.count_field!r} has a {len(node)}-digit value",
+                ) from None
         if isinstance(node, bool) or not isinstance(node, int):
             raise ProtocolError(
                 query_string, f"count field has non-integer value {node!r}"

@@ -187,7 +187,7 @@ def _score_term(
                 detail="term matches no documents in range; ratio undefined",
             )
         both_count = provider.count_with_both(term, config.key_phrase, config.date_range)
-    except Exception as exc:
+    except LitminerError as exc:
         return FailedTerm(term, f"{type(exc).__name__}: {exc}")
     try:
         table = derive_table(article_total, kp_count, term_count, both_count)
@@ -224,20 +224,18 @@ def run_mining(
 ) -> MiningRun:
     """Score every target term against the key phrase and rank the survivors.
 
-    The corpus-wide totals are fetched once up front.  Per-term provider
-    failures mark that term failed and the run continues; a failure on the
-    up-front totals, or failure of every single term, aborts the run.
+    The corpus-wide totals are fetched once up front.  A ``LitminerError``
+    from one term's counts (a transport or protocol failure, a phrase the
+    backend cannot express) marks that term failed and the run continues.
+    Any other error, and any error fetching the totals, ends the run as
+    itself; so does failure of every term, as a ``MiningError``.
     """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     unique_terms, duplicates = deduplicate_terms(config.target_terms)
 
-    try:
-        article_total = provider.article_total(config.date_range)
-        kp_count = provider.count_with(config.key_phrase, config.date_range)
-    except Exception as exc:
-        raise MiningError(f"count backend failed before any term was scored: {exc}") from exc
-
+    article_total = provider.article_total(config.date_range)
+    kp_count = provider.count_with(config.key_phrase, config.date_range)
     if kp_count == 0:
         diagnostic = (
             f"key phrase {config.key_phrase!r} matches no documents in"

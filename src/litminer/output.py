@@ -4,10 +4,10 @@
 the structured results and the CLI's manifest carry.
 
 Both result formats are deterministic byte-for-byte for identical inputs,
-and both round-trip: parsing a written file reproduces the exact
-TermResult values, because floats are rendered with repr (shortest
-round-trip form).  The human-facing ``ratio`` TSV column is fixed to three
-decimals; ``ratio_full`` carries the full-precision value.
+and both render floats with repr (shortest round-trip form), so reading a
+written file back gives the exact TermResult values.  The human-facing
+``ratio`` TSV column is fixed to three decimals; ``ratio_full`` carries the
+full-precision value.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Any, Sequence
 
-from . import LitminerError
 from .mining import MiningRun, TermResult
 from .storage import write_atomically
 
@@ -37,10 +36,6 @@ TSV_COLUMNS = (
 )
 
 
-class ResultParseError(LitminerError, ValueError):
-    """A results file that cannot be read back."""
-
-
 def display_ratio(r: TermResult) -> str:
     """Three-decimal display form of the ratio: ``ratio_full`` rounded half-up.
 
@@ -57,7 +52,7 @@ def check_tsv_field(text: str) -> None:
     """Raise ``ValueError`` if ``text`` holds a tab or a line break.
 
     Either would split a TSV row; line breaks are those of ``str.splitlines``,
-    which :func:`parse_results_tsv` splits on.
+    so a reader that splits the file's lines that way reads each row whole.
     """
     if "\t" in text or text.splitlines() != [text]:
         raise ValueError(f"{text!r} contains a tab or line break, which a TSV field cannot hold")
@@ -83,35 +78,6 @@ def render_results_tsv(results: Sequence[TermResult]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def parse_results_tsv(text: str) -> list[TermResult]:
-    lines = text.splitlines()
-    if not lines or tuple(lines[0].split("\t")) != TSV_COLUMNS:
-        raise ResultParseError("missing or unexpected TSV header")
-    results = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(TSV_COLUMNS):
-            raise ResultParseError(f"line {line_no}: expected {len(TSV_COLUMNS)} fields")
-        try:
-            results.append(
-                TermResult(
-                    term=fields[1],
-                    both_count=int(fields[2]),
-                    term_count=int(fields[3]),
-                    kp_count=int(fields[4]),
-                    article_total=int(fields[5]),
-                    ratio=float(fields[7]),
-                    p_value=float(fields[8]),
-                    significant=True,
-                )
-            )
-        except ValueError as exc:
-            raise ResultParseError(f"line {line_no}: {exc}") from exc
-    return results
 
 
 def _result_record(rank: int, r: TermResult) -> dict[str, Any]:
@@ -153,35 +119,6 @@ def render_results_json(run: MiningRun) -> str:
         ],
     }
     return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
-
-
-def parse_results_json(text: str) -> list[TermResult]:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ResultParseError(f"invalid JSON: {exc.msg}") from exc
-    if not isinstance(document, dict) or document.get("format") != RESULTS_FORMAT_NAME:
-        raise ResultParseError("not a litminer results document")
-    if document.get("version") != RESULTS_FORMAT_VERSION:
-        raise ResultParseError(f"unsupported results version {document.get('version')!r}")
-    results = []
-    try:
-        for record in document["results"]:
-            results.append(
-                TermResult(
-                    term=record["term"],
-                    both_count=record["term_plus_kp_count"],
-                    term_count=record["term_count"],
-                    kp_count=record["kp_count"],
-                    article_total=record["article_total"],
-                    ratio=record["ratio"],
-                    p_value=record["p_value"],
-                    significant=record["significant"],
-                )
-            )
-    except (KeyError, TypeError) as exc:
-        raise ResultParseError(f"malformed result record: {exc}") from exc
-    return results
 
 
 def render_report(run: MiningRun) -> str:

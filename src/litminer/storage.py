@@ -92,8 +92,8 @@ def parse_date(text: str) -> date:
 def parse_corpus_line(line: str, line_no: int) -> Document:
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(line_no, f"invalid JSON: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # also nested too deep, or an integer too long
+        raise CorpusFormatError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(record, dict):
         raise CorpusFormatError(line_no, "record is not an object")
     for field in ("id", "date", "text"):

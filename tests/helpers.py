@@ -1,10 +1,14 @@
-"""Shared test doubles: count providers backed by dictionaries instead of a corpus."""
+"""Shared test doubles: count providers backed by dictionaries instead of a
+corpus, and readers that parse a written results file back into TermResults."""
 
 from __future__ import annotations
 
+import json
 import threading
 
-from litminer import DateRange
+from litminer import DateRange, TransportError
+from litminer.mining import TermResult
+from litminer.output import RESULTS_FORMAT_NAME, RESULTS_FORMAT_VERSION, TSV_COLUMNS
 
 
 class StubCountProvider:
@@ -51,12 +55,12 @@ class FailingProvider(StubCountProvider):
 
     def article_total(self, date_range):
         if self.fail_totals:
-            raise RuntimeError("backend down")
+            raise TransportError("totals", "backend down")
         return super().article_total(date_range)
 
     def count_with(self, phrase, date_range):
         if phrase in self.failing_terms:
-            raise RuntimeError(f"no answer for {phrase}")
+            raise TransportError(phrase, f"no answer for {phrase}")
         return super().count_with(phrase, date_range)
 
 
@@ -70,3 +74,65 @@ def provider_for_table(table):
             term: (term_count, both) for term, both, term_count, _ratio in table.rows
         },
     )
+
+
+class ResultParseError(ValueError):
+    """A results file that cannot be read back."""
+
+
+def parse_results_tsv(text: str) -> list[TermResult]:
+    lines = text.splitlines()
+    if not lines or tuple(lines[0].split("\t")) != TSV_COLUMNS:
+        raise ResultParseError("missing or unexpected TSV header")
+    results = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(TSV_COLUMNS):
+            raise ResultParseError(f"line {line_no}: expected {len(TSV_COLUMNS)} fields")
+        try:
+            results.append(
+                TermResult(
+                    term=fields[1],
+                    both_count=int(fields[2]),
+                    term_count=int(fields[3]),
+                    kp_count=int(fields[4]),
+                    article_total=int(fields[5]),
+                    ratio=float(fields[7]),
+                    p_value=float(fields[8]),
+                    significant=True,
+                )
+            )
+        except ValueError as exc:
+            raise ResultParseError(f"line {line_no}: {exc}") from exc
+    return results
+
+
+def parse_results_json(text: str) -> list[TermResult]:
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ResultParseError(f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(document, dict) or document.get("format") != RESULTS_FORMAT_NAME:
+        raise ResultParseError("not a litminer results document")
+    if document.get("version") != RESULTS_FORMAT_VERSION:
+        raise ResultParseError(f"unsupported results version {document.get('version')!r}")
+    results = []
+    try:
+        for record in document["results"]:
+            results.append(
+                TermResult(
+                    term=record["term"],
+                    both_count=record["term_plus_kp_count"],
+                    term_count=record["term_count"],
+                    kp_count=record["kp_count"],
+                    article_total=record["article_total"],
+                    ratio=record["ratio"],
+                    p_value=record["p_value"],
+                    significant=record["significant"],
+                )
+            )
+    except (KeyError, TypeError) as exc:
+        raise ResultParseError(f"malformed result record: {exc}") from exc
+    return results

@@ -45,8 +45,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(body)
             return
-        if server.malformed_json:
-            body = b"{not json"
+        if server.body is not None:
+            body = server.body
         else:
             query = params.get("query", "")
             count = server.responses.get(query, server.default_count)
@@ -81,7 +81,7 @@ class CountingStubServer:
         self._httpd.default_count = default_count
         self._httpd.requests = []
         self._httpd.failure_plan = []
-        self._httpd.malformed_json = False
+        self._httpd.body = None
         self._httpd.lock = threading.Lock()
         # Poll for shutdown often, so leaving the context costs no half second.
         self._thread = threading.Thread(
@@ -129,8 +129,9 @@ class CountingStubServer:
         with self._httpd.lock:
             self._httpd.failure_plan.extend(statuses)
 
-    def set_malformed_json(self, flag: bool) -> None:
-        self._httpd.malformed_json = flag
+    def set_body(self, body: bytes | None) -> None:
+        """Answer every 200 with these bytes, or with the counts again for None."""
+        self._httpd.body = body
 
     def set_response(self, query: str, count: int) -> None:
         with self._httpd.lock:

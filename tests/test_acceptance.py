@@ -24,9 +24,9 @@ from litminer import (
     run_mining,
 )
 from litminer.cli import main
-from litminer.output import display_ratio, parse_results_tsv
+from litminer.output import display_ratio
 from fixtures.reference_tables import ALL_TABLES
-from helpers import StubCountProvider, provider_for_table
+from helpers import StubCountProvider, parse_results_tsv, provider_for_table
 from oracles import (
     hypergeom_upper_tail_exact,
     pretokenize,

@@ -10,7 +10,8 @@ import pytest
 
 import litminer
 from litminer.cli import main
-from litminer.output import parse_results_json, parse_results_tsv
+from litminer.mining import IndexCountProvider
+from helpers import parse_results_json, parse_results_tsv
 from remote_stub import CountingStubServer
 
 
@@ -579,6 +580,33 @@ class TestMineCommand:
         assert {r.term for r in term_mode} == {r.term for r in kp_mode}
 
 
+    @pytest.mark.parametrize(
+        "error, code",
+        [(OSError(28, "No space left on device"), 1), (RuntimeError("a bug"), None)],
+        ids=["disk full", "bug"],
+    )
+    def test_error_that_is_not_litminers_writes_nothing(
+        self, six_index_file, terms_file, tmp_path, monkeypatch, capsys, error, code
+    ):
+        """Only a litminer error fails one term; any other ends the run before a file is written."""
+        count_with = IndexCountProvider.count_with
+
+        def failing(provider, phrase, date_range):
+            if phrase == "beta":
+                raise error
+            return count_with(provider, phrase, date_range)
+
+        monkeypatch.setattr(IndexCountProvider, "count_with", failing)
+        before = set(tmp_path.iterdir())
+        if code is None:  # a bug: main reports it with its traceback
+            with pytest.raises(RuntimeError, match="a bug"):
+                mine_local(six_index_file, terms_file, tmp_path / "r.tsv")
+        else:
+            assert mine_local(six_index_file, terms_file, tmp_path / "r.tsv") == code
+            assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert set(tmp_path.iterdir()) == before
+
+
 class TestMineRemote:
     RESPONSES = {
         "(FIRST_PDATE:[1900-01-01 TO 2004-12-31])": 1000,
@@ -852,5 +880,61 @@ def test_text_that_is_not_utf8_ends_in_one_line(six_index_file, tmp_path, case, 
     assert "Traceback" not in done.stderr
     assert done.stderr.splitlines() == [done.stderr.strip()]
     assert named in done.stderr
+    assert done.returncode == code
+    assert set(tmp_path.iterdir()) == before
+
+
+DEEP = b"[" * 100_000
+
+
+@pytest.mark.parametrize(
+    "case, code, named",
+    [
+        pytest.param(case, code, named, id=case)
+        for case, code, named in [
+            ("corpus deep", 1, "error: line 1: invalid JSON: maximum recursion depth exceeded"),
+            ("corpus long integer", 1, "error: line 1: invalid JSON: Exceeds the limit (4300"),
+            ("client config deep", 2, "cc.json: client config is not valid JSON: maximum recur"),
+            ("cache line deep", 0, "counts.jsonl: skipping unreadable cache line 1"),
+            ("service deep", 1, "error: response body is not JSON: maximum recursion depth"),
+            ("service long count", 1, "error: count field 'hitCount' has a 5000-digit value"),
+        ]
+    ],
+)
+def test_json_that_cannot_be_read_ends_in_one_line(tmp_path, case, code, named):
+    """JSON nested too deep, or holding more digits than int() reads, never ends in a traceback."""
+    long_integer_line = b'{"id": "a", "date": "2001-01-01", "n": %s}' % (b"9" * 5000)
+    (tmp_path / "corpus.jsonl").write_bytes(DEEP if case == "corpus deep" else long_integer_line)
+    (tmp_path / "cc.json").write_bytes(DEEP)
+    (tmp_path / "counts.jsonl").write_bytes(DEEP + b"\n")
+    (tmp_path / "alpha.txt").write_bytes(b"alpha\n")
+    before = set(tmp_path.iterdir())
+    src = str(Path(litminer.__file__).resolve().parent.parent)
+    hit_count = "9" * 5000 if case == "service long count" else 5
+    with CountingStubServer(default_count=hit_count) as server:
+        if case == "service deep":
+            server.set_body(DEEP)
+        count = ["count", "--endpoint", server.url, "alpha"]
+        args = {
+            "client config deep": [*count, "--client-config", "cc.json"],
+            "cache line deep": [*count, "--cache", "counts.jsonl"],
+            "service deep": count,
+            "service long count": [
+                "mine", "--endpoint", server.url, "--key-phrase", "stem cell",
+                "--terms", "alpha.txt", "--output", "r.tsv",
+            ],
+        }.get(case, ["index", "--corpus", "corpus.jsonl", "--output", "out.idx"])
+        done = subprocess.run(
+            [sys.executable, "-m", "litminer.cli", *args],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            encoding="utf-8",
+            timeout=60,
+        )
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [done.stderr.strip()]
+    assert named in done.stderr
+    assert len(done.stderr) < 400
     assert done.returncode == code
     assert set(tmp_path.iterdir()) == before

@@ -27,6 +27,7 @@ from litminer.epmc import (
     DEFAULT_COUNT_PARAMS,
     DEFAULT_ENDPOINT,
     CountCache,
+    HttpResponse,
     RateLimiter,
     format_date_clause,
 )
@@ -150,6 +151,11 @@ class TestExtractCount:
         with pytest.raises(ProtocolError, match="non-integer"):
             self.fetch({"hitCount": digits})
 
+    def test_count_with_more_digits_than_int_reads_names_the_field(self):
+        with pytest.raises(ProtocolError, match="'hitCount' has a 5000-digit value") as info:
+            self.fetch({"hitCount": "9" * 5000})
+        assert "9" * 100 not in str(info.value)
+
     def test_recorded_response_fixture(self):
         payload = json.loads(FIXTURE.read_text(encoding="utf-8"))
         session = FakeSession([FakeResponse(payload=payload)])
@@ -214,6 +220,18 @@ class TestRetry:
         session = FakeSession([FakeResponse(200, payload=None, body="<html>")])
         client = EpmcCountClient(fast_config(), session=session)
         with pytest.raises(ProtocolError, match="not JSON"):
+            client.fetch_count(build_query("x", date_range=RANGE_2004))
+        assert len(session.calls) == 1
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [(b"[" * 100_000, "maximum recursion depth"), (b"9" * 5000, "Exceeds the limit")],
+        ids=["nested too deep", "integer too long"],
+    )
+    def test_json_no_parser_reads_is_a_protocol_error(self, body, message):
+        session = FakeSession([HttpResponse(200, body, {})])
+        client = EpmcCountClient(fast_config(), session=session)
+        with pytest.raises(ProtocolError, match=f"not JSON: {message}"):
             client.fetch_count(build_query("x", date_range=RANGE_2004))
         assert len(session.calls) == 1
 

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from litminer import (
     MinerConfig,
     MiningError,
     RankingMode,
+    TransportError,
     deduplicate_terms,
     rank_results,
     run_mining,
@@ -20,6 +22,21 @@ from litminer import (
 from litminer.mining import TermResult
 from helpers import FailingProvider, StubCountProvider
 from oracles import hypergeom_upper_tail_exact
+
+
+class RaisingProvider(StubCountProvider):
+    """Stub whose count for the first term raises ``error``; every other term takes 2 ms."""
+
+    def __init__(self, error, terms):
+        super().__init__(10_000, "stem cell", 50, {term: (20, 5) for term in terms})
+        self.error, self.first = error, terms[0]
+
+    def count_with(self, phrase, date_range):
+        if phrase == self.first:
+            raise self.error
+        if phrase != "stem cell":
+            time.sleep(0.002)
+        return super().count_with(phrase, date_range)
 
 
 def make_config(full_range, terms, threshold=0.1, mode=RankingMode.TERM_DENOMINATOR):
@@ -166,7 +183,7 @@ class TestRunMining:
         assert [r.term for r in run.significant] == ["alpha"]
         [failed] = run.failed
         assert failed.term == "broken"
-        assert "RuntimeError" in failed.error
+        assert "TransportError" in failed.error
 
     def test_all_terms_failing_raises(self, full_range):
         provider = FailingProvider(
@@ -177,8 +194,24 @@ class TestRunMining:
 
     def test_totals_failure_raises(self, full_range):
         provider = FailingProvider(6, "stem cell", 3, {"a": (1, 1)}, fail_totals=True)
-        with pytest.raises(MiningError, match="before any term"):
+        with pytest.raises(TransportError, match="backend down"):
             run_mining(provider, make_config(full_range, ["a"]))
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize(
+        "error",
+        [RuntimeError("a bug"), OSError(28, "No space left on device")],
+        ids=["bug", "disk full"],
+    )
+    def test_error_that_is_not_litminers_ends_the_run(self, full_range, error, parallelism):
+        terms = [f"t{i}" for i in range(50)]
+        provider = RaisingProvider(error, terms)
+        with pytest.raises(type(error)) as info:
+            run_mining(provider, make_config(full_range, terms), parallelism=parallelism)
+        assert info.value is error
+        # The terms not yet started when t0 failed are never counted.
+        counted = [c for c in provider.calls if c[0] == "count_with" and c[1] != "stem cell"]
+        assert len(counted) <= 10
 
     def test_duplicates_counted_once(self, full_range):
         provider = StubCountProvider(6, "stem cell", 3, {"alpha": (3, 3)})

@@ -9,16 +9,19 @@ from litminer import MinerConfig, RankingMode, run_mining
 from litminer.mining import TermResult
 from litminer.output import (
     TSV_COLUMNS,
-    ResultParseError,
     display_ratio,
-    parse_results_json,
-    parse_results_tsv,
     render_report,
     render_results_json,
     render_results_tsv,
     write_text,
 )
-from helpers import FailingProvider, StubCountProvider
+from helpers import (
+    FailingProvider,
+    ResultParseError,
+    StubCountProvider,
+    parse_results_json,
+    parse_results_tsv,
+)
 
 HEADER = "\t".join(TSV_COLUMNS)
 

@@ -1,5 +1,6 @@
 """The package's public names: each is its defining module's object, imported on first use."""
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -76,6 +77,28 @@ def test_every_error_class_states_its_exit_status():
         if error is not litminer.LitminerError:
             assert issubclass(error, (ValueError, RuntimeError)), name
     assert {name for name, error in errors.items() if error.exit_code == 2} == {"ConfigError"}
+
+
+def test_no_except_clause_swallows_every_error():
+    """Only a litminer error fails one term; any other error reaches ``main`` as itself.
+
+    So an except clause that catches everything (bare, ``Exception`` or
+    ``BaseException``) must end in a bare ``raise``, as a cleanup does.
+    """
+    catch_all = {"Exception", "BaseException"}
+    found = []
+    for path in sorted(Path(litminer.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            everything = any(
+                c is None or (isinstance(c, ast.Name) and c.id in catch_all) for c in caught
+            )
+            last = node.body[-1]
+            if everything and not (isinstance(last, ast.Raise) and last.exc is None):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_each_check_of_bad_input_raises_config_error(tmp_path, monkeypatch):

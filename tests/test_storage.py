@@ -70,7 +70,10 @@ class TestParseCorpusLine:
             '{"id": "d1", "date": "2001-13-10", "text": "x"}',
             '{"id": "d1", "date": 20010310, "text": "x"}',
             '{"id": "d1", "date": "2001-03-10", "text": 7}',
+            "[" * 100_000,
+            '{"id": "d1", "n": ' + "9" * 5000 + "}",
         ],
+        ids=lambda raw: raw[:50],
     )
     def test_rejects_malformed_lines(self, raw):
         with pytest.raises(CorpusFormatError):
