@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from contextlib import contextmanager
@@ -12,12 +13,6 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import ConfigError, LitminerError, __version__
-from .epmc import (
-    ClientConfig,
-    EpmcCountClient,
-    EpmcCountProvider,
-    check_proxy,
-)
 from .index import DateRange, build_index
 from .mining import (
     DEFAULT_P_THRESHOLD,
@@ -165,33 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _client_config(args: argparse.Namespace) -> ClientConfig:
-    """Defaults, then the config file, the environment and the flags."""
-    updates: dict[str, object] = {}
-    if args.endpoint:
-        updates["endpoint"] = args.endpoint
-    if args.cache:
-        updates["cache_path"] = args.cache
-    if args.no_cache:
-        updates["bypass_cache"] = True
-    config = ClientConfig()
-    if args.client_config:
-        try:
-            config = ClientConfig.from_file(args.client_config)
-        except OSError as exc:
-            raise ConfigError(str(exc)) from exc
-    config = replace(config.with_env_overrides(), **updates)
-    check_proxy(config.endpoint)
-    return config
-
-
 @contextmanager
 def _open_provider(args: argparse.Namespace):
     """Yields (provider, identity dict for the manifest, worker count for mining).
 
     Local counting is pure Python under one interpreter lock, so it gets
     one worker; the remote backend gets one per request slot, and its
-    client's connections are closed on exit.
+    client's connections are closed on exit.  Only the remote branch
+    imports the remote backend, so a local run loads no HTTP code.
     """
     kind = args.provider
     if kind is None:
@@ -223,7 +199,18 @@ def _open_provider(args: argparse.Namespace):
         return
     if args.index:
         raise ConfigError("--index conflicts with --provider remote")
-    config = _client_config(args)
+    from .epmc import ClientConfig, EpmcCountClient, EpmcCountProvider, check_proxy
+
+    # Defaults, then the config file, the environment and the flags.
+    config = ClientConfig()
+    if args.client_config:
+        try:
+            config = ClientConfig.from_file(args.client_config)
+        except OSError as exc:
+            raise ConfigError(str(exc)) from exc
+    flags = {"endpoint": args.endpoint, "cache_path": args.cache, "bypass_cache": args.no_cache}
+    config = replace(config.with_env_overrides(), **{k: v for k, v in flags.items() if v})
+    check_proxy(config.endpoint)
     client = EpmcCountClient(config)
     identity = {
         "kind": "remote",
@@ -320,13 +307,22 @@ def cmd_mine(args: argparse.Namespace) -> int:
         finished_at = datetime.now(timezone.utc)
 
     out_path = Path(args.output)
-    if args.format == "tsv":
-        write_text(out_path, render_results_tsv(run.significant))
-    else:
-        write_text(out_path, render_results_json(run))
     report_path = out_path.with_name(out_path.name + ".report.json")
-    write_text(report_path, render_report(run))
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
+    if args.format == "tsv":
+        results = render_results_tsv(run.significant)
+    else:
+        results = render_results_json(run)
+    report = render_report(run)
+    # The old manifest goes first and the new one comes last, holding the
+    # digests of the two files beside it: a run that stops partway leaves
+    # no manifest, so a manifest never describes another run's files.
+    manifest_path.unlink(missing_ok=True)
+    files = {}
+    for name, path, text in (("results", out_path, results), ("report", report_path, report)):
+        write_text(path, text)
+        data = text.encode("utf-8")
+        files[name] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
     manifest = {
         "tool": "litminer",
         "version": __version__,
@@ -338,6 +334,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         "parallelism": parallelism,
         "format": args.format,
         "output": str(out_path),
+        "files": files,
         "tallies": run.tallies,
         "started_at": started_at.isoformat(timespec="seconds"),
         "finished_at": finished_at.isoformat(timespec="seconds"),

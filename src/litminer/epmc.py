@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import http.client
 import json
 import logging
 import os
 import random
+import reprlib
 import select
+import ssl
 import threading
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -26,6 +29,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Mapping
 from urllib.parse import SplitResult, unquote, urlencode, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 from . import ConfigError, LitminerError, __version__
 from .index import DateRange
@@ -256,8 +260,6 @@ class HttpSession:
 
     def _open(self, parts: SplitResult, timeout: float | None) -> tuple:
         """(new connection, request-target prefix, headers) for ``parts``' origin."""
-        import http.client
-
         https = parts.scheme == "https"
         connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
         route = _proxy_route(parts)
@@ -279,9 +281,6 @@ def _proxy_route(parts: SplitResult) -> tuple[tuple[str, int], dict[str, str]] |
     proxy URL raises ``http.client.InvalidURL`` naming the variable, never
     its value, which may hold credentials.
     """
-    import http.client
-    from urllib.request import getproxies, proxy_bypass
-
     proxy = getproxies().get(parts.scheme)
     if not proxy or proxy_bypass(parts.netloc):
         return None
@@ -306,8 +305,6 @@ def check_proxy(url: str) -> None:
 
     The message names the variable, never its value.
     """
-    import http.client
-
     try:
         _proxy_route(urlsplit(url))
     except http.client.InvalidURL as exc:
@@ -491,9 +488,6 @@ class EpmcCountClient:
         return count
 
     def _request(self, query_string: str) -> Any:
-        import http.client
-        import ssl
-
         params = {"query": query_string, **self.config.count_params}
         if self.config.api_key:
             params[self.config.api_key_param] = self.config.api_key
@@ -543,28 +537,23 @@ class EpmcCountClient:
         )
 
     def _extract_count(self, payload: Any, query_string: str) -> int:
+        name = f"count field {self.config.count_field!r}"
         node = payload
         for part in self.config.count_field.split("."):
             if not isinstance(node, dict) or part not in node:
-                raise ProtocolError(
-                    query_string,
-                    f"count field {self.config.count_field!r} missing from response",
-                )
+                raise ProtocolError(query_string, f"{name} missing from response")
             node = node[part]
         if isinstance(node, str) and node.isdecimal():
             try:
                 node = int(node)
             except ValueError:  # more digits than int() reads
-                raise ProtocolError(
-                    query_string,
-                    f"count field {self.config.count_field!r} has a {len(node)}-digit value",
-                ) from None
+                message = f"{name} has a {len(node)}-digit value"
+                raise ProtocolError(query_string, message) from None
+        # reprlib bounds the echoed value, which the service may make any size.
         if isinstance(node, bool) or not isinstance(node, int):
-            raise ProtocolError(
-                query_string, f"count field has non-integer value {node!r}"
-            )
+            raise ProtocolError(query_string, f"{name} has non-integer value {reprlib.repr(node)}")
         if node < 0:
-            raise ProtocolError(query_string, f"count field is negative: {node}")
+            raise ProtocolError(query_string, f"{name} is negative: {reprlib.repr(node)}")
         return node
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -606,6 +607,55 @@ class TestMineCommand:
             assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert set(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize(
+        "call, error",
+        [(1, OSError), (2, OSError), (3, OSError), (3, KeyboardInterrupt)],
+        ids=["first write", "second write", "third write", "interrupt before the third"],
+    )
+    def test_files_of_two_runs_never_mix(
+        self, six_index_file, terms_file, tmp_path, monkeypatch, call, error
+    ):
+        """A run stopped partway leaves no manifest, or the three files of one run."""
+
+        def mine(key_phrase, out_path):  # the later --key-phrase wins
+            return mine_local(six_index_file, terms_file, out_path, "--key-phrase", key_phrase)
+
+        def files(out_path):
+            return out_path.read_bytes(), Path(f"{out_path}.report.json").read_bytes()
+
+        runs = {}
+        for key_phrase in ("stem cell", "beta"):
+            assert mine(key_phrase, tmp_path / "clean.tsv") == 0
+            runs[key_phrase] = files(tmp_path / "clean.tsv")
+        assert runs["stem cell"] != runs["beta"]
+
+        out_path = tmp_path / "r.tsv"
+        assert mine("stem cell", out_path) == 0
+        write_text = litminer.cli.write_text
+        writes = []
+
+        def failing(path, text):
+            writes.append(path)
+            if len(writes) == call:
+                raise error("stopped")
+            write_text(path, text)
+
+        monkeypatch.setattr(litminer.cli, "write_text", failing)
+        if error is OSError:
+            assert mine("beta", out_path) == 1
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                mine("beta", out_path)
+        assert len(writes) == call
+
+        manifest_path = tmp_path / "r.tsv.manifest.json"
+        if manifest_path.exists():
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            assert files(out_path) == runs[manifest["key_phrase"]]
+            for name, data in zip(("results", "report"), files(out_path)):
+                digest = hashlib.sha256(data).hexdigest()
+                assert manifest["files"][name] == {"sha256": digest, "bytes": len(data)}
+
 
 class TestMineRemote:
     RESPONSES = {
@@ -736,6 +786,58 @@ class TestMineRemote:
             )
             assert manifest["provider"]["kind"] == "remote"
             assert manifest["provider"]["endpoint"] == server.url
+
+    def test_term_with_a_double_quote_fails_remotely_and_counts_locally(self, tmp_path):
+        """The remote query grammar cannot hold a quote inside a phrase; the local
+        tokenizer drops it, so there `al"pha` is counted as the phrase `al pha`."""
+        terms = ("alpha", 'al"pha')
+        with CountingStubServer(responses=self.RESPONSES) as server:
+            code, out_path = self.run_mine(server, tmp_path, "remote.tsv", terms=terms)
+            assert server.request_count == 4  # the quoted term asks nothing
+        assert code == 0
+        assert [r.term for r in parse_results_tsv(out_path.read_text(encoding="utf-8"))] == [
+            "alpha"
+        ]
+        report = json.loads((tmp_path / "remote.tsv.report.json").read_text(encoding="utf-8"))
+        [failed] = report["failed"]
+        assert failed["term"] == 'al"pha'
+        assert failed["error"].startswith("InvalidPhraseError: ")
+        assert "double quote" in failed["error"]
+
+        corpus = write_corpus(
+            tmp_path / "quote.jsonl",
+            [
+                ("d1", "2001-01-01", "al pha and stem cell"),
+                ("d2", "2002-01-01", "al pha in a stem cell"),
+                ("d3", "2003-01-01", "alpha pha al"),
+            ],
+        )
+        index_path = tmp_path / "quote.idx"
+        assert main(["index", "--corpus", str(corpus), "--output", str(index_path)]) == 0
+        terms_path = tmp_path / "terms.txt"  # written by run_mine
+        local_path = tmp_path / "local.tsv"
+        assert mine_local(index_path, terms_path, local_path, "--p-threshold", "0.5") == 0
+        results = parse_results_tsv(local_path.read_text(encoding="utf-8"))
+        quoted = {r.term: r for r in results}['al"pha']
+        assert (quoted.term_count, quoted.both_count, quoted.kp_count) == (2, 2, 2)
+        report = json.loads((tmp_path / "local.tsv.report.json").read_text(encoding="utf-8"))
+        assert report["failed"] == []
+
+    def test_inconsistent_remote_counts_exclude_one_term(self, tmp_path, capsys):
+        window = "(FIRST_PDATE:[1900-01-01 TO 2004-12-31])"
+        responses = dict(self.RESPONSES)
+        responses[f'"beta" AND {window}'] = 10
+        responses[f'"beta" AND "stem cell" AND {window}'] = 12  # above beta's own count
+        with CountingStubServer(responses=responses) as server:
+            code, out_path = self.run_mine(server, tmp_path, "r.tsv", terms=("alpha", "beta"))
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        results = parse_results_tsv(out_path.read_text(encoding="utf-8"))
+        assert [r.term for r in results] == ["alpha"]
+        report = json.loads((tmp_path / "r.tsv.report.json").read_text(encoding="utf-8"))
+        [excluded] = report["excluded"]
+        assert (excluded["term"], excluded["reason"]) == ("beta", "inconsistent-counts")
+        assert report["failed"] == []
 
 
 def test_cached_count_answers_only_for_its_endpoint(tmp_path, monkeypatch, capsys):

@@ -151,6 +151,14 @@ class TestExtractCount:
         with pytest.raises(ProtocolError, match="non-integer"):
             self.fetch({"hitCount": digits})
 
+    @pytest.mark.parametrize(
+        "bad", [["x" * 50] * 2000, -(10**4000)], ids=["long list", "long negative"]
+    )
+    def test_bad_value_is_shortened_and_names_the_field(self, bad):
+        with pytest.raises(ProtocolError, match="count field 'hitCount' ") as info:
+            self.fetch({"hitCount": bad})
+        assert len(str(info.value)) < 400  # 108,092 unshortened
+
     def test_count_with_more_digits_than_int_reads_names_the_field(self):
         with pytest.raises(ProtocolError, match="'hitCount' has a 5000-digit value") as info:
             self.fetch({"hitCount": "9" * 5000})

@@ -68,12 +68,12 @@ def test_quick_start_index_file_is_golden(tmp_path):
 def test_quick_start_runs_without_requests(tmp_path):
     """The runtime needs no third-party package, and a local run no HTTP module.
 
-    The quick start runs with `requests`, `http.client`, `ssl` and
-    `urllib.request` blocked.
+    The quick start runs with `requests`, `http.client`, `ssl`,
+    `urllib.request` and litminer's own remote backend blocked.
     """
     script, expected = quick_start()
     # A None entry in sys.modules makes importing that module raise ImportError.
-    blocked = ["requests", "http.client", "ssl", "urllib.request"]
+    blocked = ["requests", "http.client", "ssl", "urllib.request", "litminer.epmc"]
     program = (
         f"import sys; sys.modules.update(dict.fromkeys({blocked}));"
         " import litminer, litminer.cli; litminer.cli.run()"
