@@ -10,7 +10,7 @@ from datetime import date, datetime, timezone
 from functools import partial
 from itertools import accumulate, chain, compress, count, islice, pairwise, repeat
 from operator import and_, countOf, getitem, itemgetter, lshift, lt, ne, sub
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import ConfigError, LitminerError
 from .tokenizer import TokenizedPhrase, normalize_tokenize
@@ -68,12 +68,12 @@ class PostingsIndex:
     ``positions[offsets[j]:offsets[j + 1]]``, strictly increasing.  Tokens
     are in ascending order and their postings follow each other.
 
-    The arrays never change once built.  Caches fill as queries arrive: a
-    one-slot memo of the last key phrase's in-window documents, and, for
-    each token of a multi-token phrase checked so far, a ``{doc: position
-    bitmask}`` map (bit ``p`` set when the token is at position ``p``).  The
-    maps share their ints: every key comes from one list of the doc ids,
-    built with the first map, and the mask of a posting at one position
+    The arrays never change once built.  Caches fill as queries arrive: the
+    in-window documents of the last two phrases asked for (:meth:`_phrase_docs`),
+    and, for each token of a multi-token phrase checked so far, a ``{doc:
+    position bitmask}`` map (bit ``p`` set when the token is at position
+    ``p``).  The maps share their ints: every key comes from one list of the
+    doc ids, built with the first map, and the mask of a posting at one position
     below ``_BITS_BOUND`` from the ``_BITS`` table.  Every cache is idempotent
     and each is published by one assignment (an attribute, a dict item),
     so a concurrent reader sees the old value or a complete new one, and
@@ -99,9 +99,7 @@ class PostingsIndex:
         self._positions = positions
         self._masks: dict[str, dict[int, int]] = {}
         self._doc_ints: list[int] | None = None
-        self._key_docs: tuple[
-            tuple[tuple[str, ...], DateRange] | None, Sequence[int], frozenset[int]
-        ] = (None, (), frozenset())
+        self._phrases: dict[tuple[tuple[str, ...], DateRange], frozenset[int]] = {}
         self.corpus_name = corpus_name
         self.built_at = built_at
 
@@ -136,41 +134,54 @@ class PostingsIndex:
 
         Each document counts once no matter how often the phrase occurs.
         """
-        lo, hi = self._window(date_range)
         if len(phrase.tokens) == 1:
-            i, j = self._rarest_postings(phrase.tokens, lo, hi)
+            i, j = self._rarest_postings(phrase.tokens, *self._window(date_range))
             return j - i
-        return len(self._matching_docs(phrase.tokens, lo, hi))
+        return len(self._phrase_docs(phrase.tokens, date_range))
 
     def count_with_both(
         self, phrase_a: TokenizedPhrase, phrase_b: TokenizedPhrase, date_range: DateRange
     ) -> int:
         """Number of in-range documents containing both phrases.
 
-        ``phrase_b`` is the key phrase in a mining run: its in-range
-        documents are evaluated once and kept in a one-slot memo.  The
-        candidates are the smaller of those and the in-range documents of
-        ``phrase_a``'s rarest token, so the cost mostly scales with the
-        smaller of the key phrase's and the term's document counts.
+        ``phrase_b`` is the key phrase in a mining run.  A multi-token term's
+        documents and the key phrase's come from :meth:`_phrase_docs`, which
+        a run's ``count_with`` has just filled; the count is the size of
+        their intersection.  A one-token term walks the smaller of the key
+        phrase's documents and its own in-window postings.
         """
-        lo, hi = self._window(date_range)
-        key = (phrase_b.tokens, date_range)
-        memo = self._key_docs
-        if memo[0] != key:
-            key_docs = self._matching_docs(phrase_b.tokens, lo, hi)
-            memo = (key, key_docs, frozenset(key_docs))
-            self._key_docs = memo
-        _, key_docs, key_set = memo
         tokens = phrase_a.tokens
-        i, j = self._rarest_postings(tokens, lo, hi)
-        # A one-token term is checked through its position map only when a
-        # phrase has already built one: building it costs more than one scan.
-        if j - i > len(key_docs) and (len(tokens) > 1 or tokens[0] in self._masks):
+        if len(tokens) > 1:
+            # The term's set first: the key phrase is then the newer memo entry,
+            # and it survives the next term's ``count_with``.
+            term_docs = self._phrase_docs(tokens, date_range)
+            return len(self._phrase_docs(phrase_b.tokens, date_range).intersection(term_docs))
+        key_docs = self._phrase_docs(phrase_b.tokens, date_range)
+        i, j = self._rarest_postings(tokens, *self._window(date_range))
+        # A term is checked through its position map only when a phrase has
+        # already built one: building it costs more than one scan.
+        if j - i > len(key_docs) and tokens[0] in self._masks:
             return len(self._with_phrase(tokens, key_docs))
-        candidates = list(filter(key_set.__contains__, self._docs[i:j]))
-        if len(tokens) == 1:
-            return len(candidates)
-        return len(self._with_phrase(tokens, candidates))
+        return len(list(filter(key_docs.__contains__, self._docs[i:j])))
+
+    def _phrase_docs(self, tokens: tuple[str, ...], date_range: DateRange) -> frozenset[int]:
+        """The ids of the in-range documents containing the phrase.
+
+        The sets of the last two phrases asked for are kept.  Each change
+        publishes a new dict, never mutated, with the phrase asked for last.
+        """
+        key = (tokens, date_range)
+        memo = self._phrases
+        docs = memo.get(key)
+        if docs is None:
+            i, j = self._rarest_postings(tokens, *self._window(date_range))
+            candidates = self._docs[i:j]
+            if len(tokens) > 1 and i < j:
+                candidates = self._with_phrase(tokens, candidates)
+            docs = frozenset(candidates)
+        if next(reversed(memo), None) != key:
+            self._phrases = dict([*list(memo.items())[-1:], (key, docs)])
+        return docs
 
     def _rarest_postings(self, tokens: tuple[str, ...], lo: int, hi: int) -> tuple[int, int]:
         """The slice of ``docs`` holding the in-window postings of the rarest token.
@@ -185,43 +196,29 @@ class PostingsIndex:
         windows = [(bisect_left(docs, lo, s, e), bisect_left(docs, hi, s, e)) for s, e in spans]
         return min(windows, key=lambda w: w[1] - w[0])
 
-    def _matching_docs(self, tokens: tuple[str, ...], lo: int, hi: int) -> Sequence[int]:
-        """Ascending ids in ``[lo, hi)`` of the documents containing the phrase."""
-        i, j = self._rarest_postings(tokens, lo, hi)
-        if len(tokens) == 1 or i == j:
-            return self._docs[i:j]
-        return self._with_phrase(tokens, self._docs[i:j])
+    def _with_phrase(self, tokens: tuple[str, ...], candidates: Collection[int]) -> list[int]:
+        """The candidates, in their order, in which the tokens occur contiguously.
 
-    def _with_phrase(self, tokens: tuple[str, ...], candidates: Sequence[int]) -> list[int]:
-        """The candidates (ascending ids) in which the tokens occur contiguously.
-
-        ``acc`` holds the positions at which the phrase so far ends: the
-        first token's mask, then for each further token ``(acc << 1) &
-        mask``.  A document missing a token gets mask 0 and drops out.
+        Every token is in the index.  ``acc`` holds the positions at which
+        the phrase so far ends: the first token's mask, then for each further
+        token ``(acc << 1) & mask``.  A document missing a token gets mask 0
+        and drops out.
         """
-        masks = []
-        for token in tokens:
-            token_masks = self._token_masks(token)
-            if token_masks is None:
-                return []
-            masks.append(token_masks)
-        acc = map(masks[0].get, candidates, repeat(0))
-        for token_masks in masks[1:]:
+        first, *rest = map(self._token_masks, tokens)
+        acc = map(first.get, candidates, repeat(0))
+        for token_masks in rest:
             shifted = map(lshift, acc, repeat(1))
             acc = map(and_, shifted, map(token_masks.get, candidates, repeat(0)))
         return list(compress(candidates, acc))
 
-    def _token_masks(self, token: str) -> dict[int, int] | None:
-        """``{doc: position bitmask}`` for the token, or None when it is absent.
+    def _token_masks(self, token: str) -> dict[int, int]:
+        """``{doc: position bitmask}`` for a token in the index.
 
         Built from the arrays on first use and kept for the index's lifetime.
         """
         masks = self._masks.get(token)
         if masks is None:
-            span = self._spans.get(token)
-            if span is None:
-                return None
-            s, e = span
+            s, e = self._spans[token]
             offsets = self._offsets
             positions = iter(self._positions[offsets[s] : offsets[e]])
             counts = map(sub, offsets[s + 1 : e + 1], offsets[s:e])

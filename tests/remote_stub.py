@@ -49,7 +49,10 @@ class _Handler(BaseHTTPRequestHandler):
             body = server.body
         else:
             query = params.get("query", "")
-            count = server.responses.get(query, server.default_count)
+            if server.answer is not None:
+                count = server.answer(query)
+            else:
+                count = server.responses.get(query, server.default_count)
             payload = {
                 "version": "6.9",
                 "hitCount": count,
@@ -79,6 +82,7 @@ class CountingStubServer:
         self._httpd.redirect_location = "http://moved.invalid/search"
         self._httpd.responses = dict(responses or {})
         self._httpd.default_count = default_count
+        self._httpd.answer = None
         self._httpd.requests = []
         self._httpd.failure_plan = []
         self._httpd.body = None
@@ -132,6 +136,10 @@ class CountingStubServer:
     def set_body(self, body: bytes | None) -> None:
         """Answer every 200 with these bytes, or with the counts again for None."""
         self._httpd.body = body
+
+    def set_answer(self, answer) -> None:
+        """Count each query as ``answer(query)`` from now on, not from the responses."""
+        self._httpd.answer = answer
 
     def set_response(self, query: str, count: int) -> None:
         with self._httpd.lock:

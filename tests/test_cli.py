@@ -828,8 +828,29 @@ class TestMineRemote:
         responses = dict(self.RESPONSES)
         responses[f'"beta" AND {window}'] = 10
         responses[f'"beta" AND "stem cell" AND {window}'] = 12  # above beta's own count
+        self.check_beta_excluded(tmp_path, capsys, responses)
+
+    def test_total_too_small_for_both_margins_excludes_one_term(self, tmp_path, capsys):
+        """10 articles cannot hold the key phrase's 8 and beta's 8 with only 2 in both."""
+        window = "(FIRST_PDATE:[1900-01-01 TO 2004-12-31])"
+        responses = {
+            window: 10,
+            f'"stem cell" AND {window}': 8,
+            f'"alpha" AND {window}': 3,
+            f'"alpha" AND "stem cell" AND {window}': 2,
+            f'"beta" AND {window}': 8,
+            f'"beta" AND "stem cell" AND {window}': 2,
+        }
+        # alpha's table is (2, 1, 6, 1), with p = 112/120.
+        self.check_beta_excluded(tmp_path, capsys, responses, "--p-threshold", "0.99")
+
+    def check_beta_excluded(self, tmp_path, capsys, responses, *extra):
+        """Mining alpha and beta exits 0 with no traceback: beta ends as
+        inconsistent-counts in the report, and alpha is scored."""
         with CountingStubServer(responses=responses) as server:
-            code, out_path = self.run_mine(server, tmp_path, "r.tsv", terms=("alpha", "beta"))
+            code, out_path = self.run_mine(
+                server, tmp_path, "r.tsv", *extra, terms=("alpha", "beta")
+            )
         assert code == 0
         assert "Traceback" not in capsys.readouterr().err
         results = parse_results_tsv(out_path.read_text(encoding="utf-8"))

@@ -489,8 +489,14 @@ def test_mask_maps_equal_a_direct_recomputation():
             if bits:
                 expected[internal] = bits
         assert index._token_masks(token) == expected
-    assert index._token_masks("absent") is None
     assert index._token_masks("x")[5] == 1 << bound
+    everything = DateRange(date(1900, 1, 1), date(2100, 1, 1))
+    for holding_absent in ("absent", "x absent", "absent pad x"):
+        assert index.count_with(phrase(holding_absent), everything) == 0
+        for other in ("x", "pad x"):
+            assert index.count_with_both(phrase(holding_absent), phrase(other), everything) == 0
+            assert index.count_with_both(phrase(other), phrase(holding_absent), everything) == 0
+    assert "absent" not in index._masks
 
 
 def test_mask_maps_share_their_ints():

@@ -19,9 +19,17 @@ from litminer import (
     rank_results,
     run_mining,
 )
+from litminer.index import PostingsIndex
 from litminer.mining import TermResult
+from conftest import SIX_DOCS
 from helpers import FailingProvider, StubCountProvider
-from oracles import hypergeom_upper_tail_exact
+from oracles import (
+    hypergeom_upper_tail_exact,
+    pretokenize,
+    scan_count_with,
+    scan_count_with_both,
+    tokens_of,
+)
 
 
 class RaisingProvider(StubCountProvider):
@@ -137,6 +145,33 @@ class TestRunMining:
         from_index = run_mining(IndexCountProvider(six_index), config)
         assert from_stub.significant == from_index.significant
         assert from_stub.excluded == from_index.excluded
+
+    def test_index_checks_each_phrase_once_per_run(self, six_index, full_range, monkeypatch):
+        """The key phrase and each multi-token term go through the phrase check
+        once, one-token terms in between included, and every count is the scan's."""
+        checked = []
+        with_phrase = PostingsIndex._with_phrase
+
+        def spy(index, tokens, candidates):
+            checked.append(tokens)
+            return with_phrase(index, tokens, candidates)
+
+        monkeypatch.setattr(PostingsIndex, "_with_phrase", spy)
+        terms = ["alpha protein", "alpha", "stem cell niche", "beta", "cell culture", "beta x"]
+        run = run_mining(IndexCountProvider(six_index), make_config(full_range, terms))
+        phrases = [tokens for tokens in checked if len(tokens) > 1]
+        assert sorted(phrases) == sorted(
+            [("stem", "cell"), ("alpha", "protein"), ("stem", "cell", "niche"), ("cell", "culture")]
+        )
+        scannable = pretokenize(SIX_DOCS)
+        start, end = full_range.start, full_range.end
+        key = ("stem", "cell")
+        scored = [*run.significant, *(e.result for e in run.excluded if e.result)]
+        assert len(scored) == 5  # every term but "beta x", which matches nothing
+        for result in scored:
+            term = tuple(tokens_of(result.term))
+            assert result.term_count == scan_count_with(scannable, term, start, end)
+            assert result.both_count == scan_count_with_both(scannable, term, key, start, end)
 
     def test_index_provider_is_a_count_provider(self, six_index):
         assert isinstance(IndexCountProvider(six_index), CountProvider)
