@@ -69,15 +69,16 @@ class PostingsIndex:
     are in ascending order and their postings follow each other.
 
     The arrays never change once built.  Caches fill as queries arrive: the
-    in-window documents of the last two phrases asked for (:meth:`_phrase_docs`),
-    and, for each token of a multi-token phrase checked so far, a ``{doc:
-    position bitmask}`` map (bit ``p`` set when the token is at position
-    ``p``).  The maps share their ints: every key comes from one list of the
-    doc ids, built with the first map, and the mask of a posting at one position
-    below ``_BITS_BOUND`` from the ``_BITS`` table.  Every cache is idempotent
-    and each is published by one assignment (an attribute, a dict item),
-    so a concurrent reader sees the old value or a complete new one, and
-    any number of threads may query one index concurrently.
+    in-window documents of the last two phrases checked (:meth:`_phrase_docs`),
+    which only a pair count reads, so that it reuses only what its own run's
+    counts kept; and, for each token of a multi-token phrase checked so far, a
+    ``{doc: position bitmask}`` map (bit ``p`` set when the token is at
+    position ``p``).  The maps share their ints: every key comes from one list
+    of the doc ids, built with the first map, and the mask of a posting at one
+    position below ``_BITS_BOUND`` from the ``_BITS`` table.  Every cache is
+    idempotent and each is published by one assignment (an attribute, a dict
+    item), so a concurrent reader sees the old value or a complete new one,
+    and any number of threads may query one index concurrently.
     """
 
     def __init__(
@@ -132,8 +133,13 @@ class PostingsIndex:
     def count_with(self, phrase: TokenizedPhrase, date_range: DateRange) -> int:
         """Number of in-range documents containing the contiguous phrase.
 
-        Each document counts once no matter how often the phrase occurs.
+        Each document counts once, however often the phrase occurs.  A count
+        always checks its phrase: it first drops any set kept for it, so a
+        pair count reuses only what its own run's counts kept.
         """
+        key = (phrase.tokens, date_range)
+        if key in self._phrases:
+            self._phrases = {k: v for k, v in self._phrases.items() if k != key}
         if len(phrase.tokens) == 1:
             i, j = self._rarest_postings(phrase.tokens, *self._window(date_range))
             return j - i
@@ -145,10 +151,9 @@ class PostingsIndex:
         """Number of in-range documents containing both phrases.
 
         ``phrase_b`` is the key phrase in a mining run.  A multi-token term's
-        documents and the key phrase's come from :meth:`_phrase_docs`, which
-        a run's ``count_with`` has just filled; the count is the size of
-        their intersection.  A one-token term walks the smaller of the key
-        phrase's documents and its own in-window postings.
+        count is the size of the intersection of its own and the key phrase's
+        sets from :meth:`_phrase_docs`.  A one-token term walks the smaller of
+        the key phrase's documents and its own in-window postings.
         """
         tokens = phrase_a.tokens
         if len(tokens) > 1:
@@ -165,11 +170,7 @@ class PostingsIndex:
         return len(list(filter(key_docs.__contains__, self._docs[i:j])))
 
     def _phrase_docs(self, tokens: tuple[str, ...], date_range: DateRange) -> frozenset[int]:
-        """The ids of the in-range documents containing the phrase.
-
-        The sets of the last two phrases asked for are kept.  Each change
-        publishes a new dict, never mutated, with the phrase asked for last.
-        """
+        """The ids of the in-range documents with the phrase; the last two phrases' are kept."""
         key = (tokens, date_range)
         memo = self._phrases
         docs = memo.get(key)

@@ -2,11 +2,14 @@
 
 These deliberately avoid the package's numeric and index machinery: the
 tail probability is exact rational arithmetic, and the counting oracle is
-a linear scan over token sequences with no index at all.
+a linear scan over token sequences with no index at all.  For an index no
+corpus produced, ``decode_postings`` reads its arrays back into documents
+for the same kind of scan.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from datetime import date
 from fractions import Fraction
 from math import comb
@@ -88,3 +91,28 @@ def scan_count_with_both(
 
 def pretokenize(documents: list[Document]) -> list[tuple[date, list[str]]]:
     return [(doc.pub_date, tokens_of(doc.text)) for doc in documents]
+
+
+def decode_postings(dates, spans, docs, offsets, positions) -> list[tuple[date, dict]]:
+    """Each document as ``(date, {position: tokens there})``, read from index arrays.
+
+    ``check()`` does not refuse two tokens at one position, so a position
+    holds a set, and a phrase may match either token there.
+    """
+    decoded = [(date.fromordinal(ordinal), defaultdict(set)) for ordinal in dates]
+    for token, (s, e) in spans.items():
+        for j in range(s, e):
+            for p in positions[offsets[j] : offsets[j + 1]]:
+                decoded[docs[j]][1][p].add(token)
+    return decoded
+
+
+def decoded_count(decoded, phrases: list[tuple[str, ...]], start: date, end: date) -> int:
+    """In-range decoded documents holding every phrase, each at some run of positions."""
+
+    def holds(at, phrase):
+        return any(all(t in at.get(p + i, ()) for i, t in enumerate(phrase)) for p in at)
+
+    return sum(
+        1 for d, at in decoded if start <= d <= end and all(holds(at, ph) for ph in phrases)
+    )

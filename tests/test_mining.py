@@ -173,6 +173,47 @@ class TestRunMining:
             assert result.term_count == scan_count_with(scannable, term, start, end)
             assert result.both_count == scan_count_with_both(scannable, term, key, start, end)
 
+    def test_each_run_checks_its_own_phrases(self, six_index, full_range, monkeypatch):
+        """A second run with the same key phrase and window checks the key
+        phrase again: no count reads a set that an earlier run kept."""
+        checked = []
+        with_phrase = PostingsIndex._with_phrase
+
+        def spy(index, tokens, candidates):
+            checked.append(tokens)
+            return with_phrase(index, tokens, candidates)
+
+        monkeypatch.setattr(PostingsIndex, "_with_phrase", spy)
+        provider = IndexCountProvider(six_index)
+        config = make_config(full_range, ["alpha protein", "beta", "cell culture", "alpha"])
+        for _ in range(2):
+            checked.clear()
+            run_mining(provider, config)
+            assert sorted(tokens for tokens in checked if len(tokens) > 1) == [
+                ("alpha", "protein"),
+                ("cell", "culture"),
+                ("stem", "cell"),
+            ]
+
+    def test_pair_counts_of_a_second_run_read_its_own_key_set(self, six_index, full_range):
+        """With a one-token key phrase, the set that a run's pair counts read
+        is found again by each run, not taken from the run before."""
+        provider = IndexCountProvider(six_index)
+        config = MinerConfig(
+            key_phrase="beta",
+            target_terms=("alpha", "stem cell", "cortex"),
+            date_range=full_range,
+            p_threshold=0.1,
+        )
+        key = (("beta",), full_range)
+        runs, kept = [], []
+        for _ in range(2):
+            runs.append(run_mining(provider, config))
+            kept.append(six_index._phrases[key])
+        assert kept[1] is not kept[0]
+        assert kept[1] == kept[0] == {2, 3, 4, 5}
+        assert runs[1] == runs[0]
+
     def test_index_provider_is_a_count_provider(self, six_index):
         assert isinstance(IndexCountProvider(six_index), CountProvider)
 

@@ -6,9 +6,11 @@ import tracemalloc
 import zlib
 from array import array
 from datetime import date, datetime, timedelta, timezone
+from functools import partial
+from itertools import accumulate, pairwise
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import litminer.index
@@ -29,6 +31,7 @@ from litminer.index import U32
 from litminer.storage import INDEX_MAGIC, parse_corpus_line, parse_date, write_atomically
 from litminer.tokenizer import TOKENIZER_VERSION
 from conftest import SIX_DOCS
+from oracles import decode_postings, decoded_count
 
 
 ORDINAL = date(2001, 1, 1).toordinal()
@@ -470,6 +473,84 @@ def test_misshapen_index_fails_check(case):
     fields, message = MISSHAPEN_INDEXES[case]
     with pytest.raises(IndexFormatError, match=message):
         make_index(*fields).check()
+
+
+FUZZ_TOKENS = ["a", "b", "c"]
+
+
+def mutate(values, data):
+    """Change one entry of ``values`` in place, as a faulty writer might."""
+    before = list(values)
+    i, j = (data.draw(st.integers(0, len(values) - 1), label="entry") for _ in "ij")
+    kind = data.draw(st.sampled_from(["swap", "repeat", "drop", "+1", "-1"]), label="kind")
+    if kind == "swap":
+        values[i], values[j] = values[j], values[i]
+    elif kind == "repeat":
+        values[i] = values[j]
+    elif kind == "drop":
+        del values[i]
+    else:
+        values[i] = max(0, values[i] + int(kind))
+    assume(values != before)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_index_with_a_valid_checksum_loads_only_if_it_counts_right(tmp_path_factory, data):
+    """An index whose arrays a faulty writer changed, saved with a valid CRC32,
+    is refused, or every count equals a scan of what its arrays say.  Document
+    ids stay as built: no count reads them."""
+    # One draw seeds the corpus: drawing each token costs more than the rest of an example.
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="corpus seed"))
+    documents = [
+        Document(
+            f"d{i}",
+            " ".join(rng.choices(FUZZ_TOKENS, k=rng.randint(0, 5))),
+            date.fromordinal(D1 + rng.randint(0, 3)),
+        )
+        for i in range(rng.randint(2, 4))
+    ]
+    index = build_index(documents)
+    tokens = list(index._spans)
+    fields = {
+        "dates": list(index._dates),
+        "counts": [e - s for s, e in index._spans.values()],
+        "docs": list(index._docs),
+        "offsets": list(index._offsets),
+        "positions": list(index._positions),
+    }
+    name = data.draw(st.sampled_from([*fields, "span bound"]), label="field")
+    counts = fields["counts"]
+    if name == "span bound":  # one token gains a posting that the next one loses
+        assume(len(counts) > 1)
+        k = data.draw(st.integers(0, len(counts) - 2), label="token")
+        step = data.draw(st.sampled_from([1, -1]), label="step")
+        counts[k], counts[k + 1] = counts[k] + step, counts[k + 1] - step
+    else:
+        assume(fields[name])
+        mutate(fields[name], data)
+    starts = list(accumulate(counts, initial=0))
+    spans = dict(zip(tokens, pairwise(starts)))
+    arrays = (fields["dates"], spans, fields["docs"], fields["offsets"], fields["positions"])
+    path = tmp_path_factory.getbasetemp() / "mutated.idx"
+    save_index(make_index(list(index._doc_ids), *arrays), path)
+    try:
+        loaded = load_index(path)
+    except IndexFormatError:
+        return
+    decoded = decode_postings(*arrays)
+    phrase = st.lists(st.sampled_from([*FUZZ_TOKENS, "absent"]), min_size=1, max_size=3)
+    for _ in range(3):
+        start, end = sorted(data.draw(st.integers(D1 - 1, D1 + 4), label="day") for _ in "se")
+        window = DateRange(date.fromordinal(start), date.fromordinal(end))
+        a, b = (tuple(data.draw(phrase, label="phrase")) for _ in "ab")
+        expect = partial(decoded_count, decoded, start=window.start, end=window.end)
+        assert loaded.article_count(window) == expect([])
+        assert loaded.count_with(TokenizedPhrase(b), window) == expect([b])
+        assert loaded.count_with(TokenizedPhrase(a), window) == expect([a])
+        assert loaded.count_with_both(TokenizedPhrase(a), TokenizedPhrase(b), window) == expect(
+            [a, b]
+        )
 
 
 def test_index_format_error_is_one_class():
