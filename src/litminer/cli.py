@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import ConfigError, LitminerError, __version__
-from .index import DateRange, build_index
+from .index import DateRange, IndexFormatError, build_index
 from .mining import (
     DEFAULT_P_THRESHOLD,
     IndexCountProvider,
@@ -195,7 +195,10 @@ def _open_provider(args: argparse.Namespace):
             "doc_count": index.doc_count,
             "built_at": index.built_at.isoformat(),
         }
-        yield IndexCountProvider(index), identity, 1
+        try:
+            yield IndexCountProvider(index), identity, 1
+        except IndexFormatError as exc:  # a token's postings, checked on their first read
+            raise IndexFormatError(f"{args.index}: {exc}; rebuild the index") from None
         return
     if args.index:
         raise ConfigError("--index conflicts with --provider remote")

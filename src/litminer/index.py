@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
@@ -68,17 +69,23 @@ class PostingsIndex:
     ``positions[offsets[j]:offsets[j + 1]]``, strictly increasing.  Tokens
     are in ascending order and their postings follow each other.
 
+    Loading checks only the tables (:meth:`check_tables`).  A token's postings
+    are checked before their first read (:meth:`_checked_spans`), and a damaged
+    token raises :class:`IndexFormatError` from each query that reads it.
+
     The arrays never change once built.  Caches fill as queries arrive: the
-    in-window documents of the last two phrases checked (:meth:`_phrase_docs`),
-    which only a pair count reads, so that it reuses only what its own run's
-    counts kept; and, for each token of a multi-token phrase checked so far, a
+    set of tokens whose postings passed their check; the in-window documents
+    of the last two phrases counted (:meth:`_phrase_docs`), which only a
+    pair count reads, so that it reuses only what its own run's counts kept;
+    and, for each token of a multi-token phrase counted so far, a
     ``{doc: position bitmask}`` map (bit ``p`` set when the token is at
     position ``p``).  The maps share their ints: every key comes from one list
     of the doc ids, built with the first map, and the mask of a posting at one
     position below ``_BITS_BOUND`` from the ``_BITS`` table.  Every cache is
     idempotent and each is published by one assignment (an attribute, a dict
-    item), so a concurrent reader sees the old value or a complete new one,
-    and any number of threads may query one index concurrently.
+    item, a set member), so a concurrent reader sees the old value or a
+    complete new one, and any number of threads may query one index
+    concurrently.
     """
 
     def __init__(
@@ -101,6 +108,7 @@ class PostingsIndex:
         self._masks: dict[str, dict[int, int]] = {}
         self._doc_ints: list[int] | None = None
         self._phrases: dict[tuple[tuple[str, ...], DateRange], frozenset[int]] = {}
+        self._checked: set[str] = set()
         self.corpus_name = corpus_name
         self.built_at = built_at
 
@@ -190,12 +198,26 @@ class PostingsIndex:
         The rarest token is the one with the fewest documents in ``[lo, hi)``;
         the slice is empty when some token is absent from the index.
         """
-        spans = [self._spans.get(token) for token in tokens]
-        if None in spans:
+        spans = self._checked_spans(tokens)
+        if spans is None:
             return 0, 0
         docs = self._docs
         windows = [(bisect_left(docs, lo, s, e), bisect_left(docs, hi, s, e)) for s, e in spans]
         return min(windows, key=lambda w: w[1] - w[0])
+
+    def _checked_spans(self, tokens: tuple[str, ...]) -> list[tuple[int, int]] | None:
+        """The tokens' spans, or None when one is absent.  Every read of a token's
+        postings gets its span here, so they are checked before their first read."""
+        spans = [self._spans.get(token) for token in tokens]
+        if None in spans:
+            return None
+        checked = self._checked
+        if not checked.issuperset(tokens):
+            for token in tokens:
+                if token not in checked:
+                    self._check_token(token)
+                    checked.add(token)
+        return spans
 
     def _with_phrase(self, tokens: tuple[str, ...], candidates: Collection[int]) -> list[int]:
         """The candidates, in their order, in which the tokens occur contiguously.
@@ -219,7 +241,7 @@ class PostingsIndex:
         """
         masks = self._masks.get(token)
         if masks is None:
-            s, e = self._spans[token]
+            ((s, e),) = self._checked_spans((token,))
             offsets = self._offsets
             positions = iter(self._positions[offsets[s] : offsets[e]])
             counts = map(sub, offsets[s + 1 : e + 1], offsets[s:e])
@@ -240,10 +262,13 @@ class PostingsIndex:
         return masks
 
     def check(self) -> None:
-        """Raise :class:`IndexFormatError` unless the arrays keep the orders above.
+        """Raise :class:`IndexFormatError` unless the tables and every token's postings hold."""
+        self.check_tables()
+        self._checked_spans(tuple(self._spans))
 
-        Each pass over an array runs in C (``map``/``islice``), not bytecode.
-        """
+    def check_tables(self) -> None:
+        """Raise :class:`IndexFormatError` unless the checks that cost O(documents +
+        tokens) pass.  Each pass over an array runs in C (``map``/``islice``), not bytecode."""
         doc_ids, dates = self._doc_ids, self._dates
         docs, offsets, positions = self._docs, self._offsets, self._positions
         doc_count = len(doc_ids)
@@ -266,16 +291,24 @@ class PostingsIndex:
             or not _ascending(bounds)
         ):
             raise IndexFormatError("token posting counts do not add up")
-        if not _ascending_in_groups(docs, bounds[1:-1]):
-            raise IndexFormatError("a token's document ids do not ascend")
-        # Each token's last doc id is its largest.
-        if docs and max(map(docs.__getitem__, [e - 1 for e in bounds[1:]])) >= doc_count:
-            raise IndexFormatError("posting references an unknown document")
         if offsets[0] != 0 or offsets[-1] != len(positions):
             raise IndexFormatError("position offsets do not cover the positions")
+
+    def _check_token(self, token: str) -> None:
+        """Raise :class:`IndexFormatError` unless the token's doc ids ascend and are
+        known, and its offsets and the positions in each posting ascend."""
+        s, e = self._spans[token]
+        docs = self._docs[s:e]
+        if not _ascending(docs):
+            raise IndexFormatError("a token's document ids do not ascend")
+        if docs and docs[-1] >= self.doc_count:  # its last doc id is its largest
+            raise IndexFormatError("posting references an unknown document")
+        offsets = self._offsets[s : e + 1]
         if not _ascending(offsets):
             raise IndexFormatError("position offsets do not ascend")
-        if not _ascending_in_groups(positions, islice(offsets, 1, len(docs))):
+        first = offsets[0]
+        positions = self._positions[first : offsets[-1]]
+        if not _ascending_in_groups(positions, map(sub, offsets[1:-1], repeat(first))):
             raise IndexFormatError("positions do not increase within a document")
 
 
@@ -317,20 +350,22 @@ def build_index(
         seen.add(doc.doc_id)
     docs.sort(key=lambda d: (d.pub_date.toordinal(), d.doc_id))
 
-    # Each occurrence, in (doc, position) order, appends its doc and position to
-    # its token's arrays: ``map`` makes the calls, so no bytecode runs per occurrence.
-    token_docs: defaultdict[str, array] = defaultdict(partial(array, U32))
-    token_positions: defaultdict[str, array] = defaultdict(partial(array, U32))
+    # Each occurrence, in (doc, position) order, appends ``doc << 32 | position``
+    # to its token's array: ``map`` makes the calls, so no bytecode runs per occurrence.
+    occurrences: defaultdict[str, array] = defaultdict(partial(array, "Q"))
     for internal, doc in enumerate(docs):
         doc_tokens = normalize_tokenize(doc.text)
-        deque(map(array.append, map(token_docs.__getitem__, doc_tokens), repeat(internal)), 0)
-        deque(map(array.append, map(token_positions.__getitem__, doc_tokens), count()), 0)
+        at = count(internal << 32)
+        deque(map(array.append, map(occurrences.__getitem__, doc_tokens), at), 0)
 
     # The arrays joined in ascending token order; token k's run begins at ``runs[k]``.
-    tokens = sorted(token_docs)
-    runs = list(accumulate(map(len, map(token_docs.__getitem__, tokens)), initial=0))
-    occurrence_docs = array(U32, b"".join(map(token_docs.pop, tokens)))
-    positions = array(U32, b"".join(map(token_positions.pop, tokens)))
+    # Read as 32-bit halves, each occurrence is its position and its doc, low half first.
+    tokens = sorted(occurrences)
+    runs = list(accumulate(map(len, map(occurrences.__getitem__, tokens)), initial=0))
+    halves = array(U32, b"".join(map(occurrences.pop, tokens)))
+    low = 0 if sys.byteorder == "little" else 1
+    positions, occurrence_docs = halves[low::2], halves[1 - low :: 2]
+    del halves
     # A posting begins where the doc changes or a token's run begins.
     begins = bytearray(map(ne, occurrence_docs, chain((-1,), occurrence_docs)))
     for run in runs[:-1]:

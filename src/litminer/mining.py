@@ -8,7 +8,7 @@ from enum import Enum
 from typing import Protocol, Sequence, runtime_checkable
 
 from . import ConfigError, LitminerError
-from .index import DateRange, PostingsIndex
+from .index import DateRange, IndexFormatError, PostingsIndex
 from .stats import (
     InconsistentCountsError,
     co_occurrence_ratio,
@@ -187,6 +187,8 @@ def _score_term(
                 detail="term matches no documents in range; ratio undefined",
             )
         both_count = provider.count_with_both(term, config.key_phrase, config.date_range)
+    except IndexFormatError:  # a damaged index: no term's count can be trusted
+        raise
     except LitminerError as exc:
         return FailedTerm(term, f"{type(exc).__name__}: {exc}")
     try:
@@ -227,8 +229,9 @@ def run_mining(
     The corpus-wide totals are fetched once up front.  A ``LitminerError``
     from one term's counts (a transport or protocol failure, a phrase the
     backend cannot express) marks that term failed and the run continues.
-    Any other error, and any error fetching the totals, ends the run as
-    itself; so does failure of every term, as a ``MiningError``.
+    Any other error, an ``IndexFormatError`` from a damaged token, and any
+    error fetching the totals, ends the run as itself; so does failure of
+    every term, as a ``MiningError``.
     """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")

@@ -33,9 +33,10 @@ accumulates over the bytes as they are parsed, so the bytes checked are the
 bytes used.  It refuses files whose format or tokenizer version does not
 match this build, since either mismatch silently changes query semantics,
 any file whose CRC32 does not match its body (reported ahead of any fault
-in the structure of a damaged body), and any body whose structure breaks
-these orders and bounds (``PostingsIndex.check``), so a damaged index fails
-loudly instead of counting.
+in the structure of a damaged body), and any body whose tables break these
+orders and bounds (``PostingsIndex.check_tables``).  A token whose postings
+break them is refused by the first query that reads it, so a damaged index
+fails loudly instead of counting.
 """
 
 from __future__ import annotations
@@ -213,8 +214,8 @@ class _Cursor:
         self.crc = 0
 
     def _claim(self, n: int) -> None:
-        if n > self._left:
-            raise IndexFormatError("index file is truncated")
+        if n > self._left:  # reported once the CRC32 has ruled out a cut file
+            raise IndexFormatError("index sections do not match the sizes the body declares")
         self._left -= n
 
     def take(self, n: int) -> bytes:
@@ -262,7 +263,8 @@ def load_index(path: str | Path) -> PostingsIndex:
 
     Raises :class:`IndexFormatError` for a file of another format or
     tokenizer version, a damaged or truncated file (CRC32 mismatch), or a
-    body whose structure breaks the index's invariants.
+    body whose tables break the index's invariants: O(documents + tokens).
+    Each token's postings are checked on first read (``PostingsIndex``).
     """
     with open(path, "rb") as fh:
         try:
@@ -297,7 +299,7 @@ def _read_index(fh: io.BufferedReader) -> PostingsIndex:
         cursor.check_crc(crc)  # a damaged body reports its checksum first
         raise
     cursor.check_crc(crc)
-    index.check()
+    index.check_tables()
     return index
 
 

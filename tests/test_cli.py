@@ -12,6 +12,7 @@ import pytest
 import litminer
 from litminer.cli import main
 from litminer.mining import IndexCountProvider
+from litminer.storage import load_index, save_index
 from helpers import parse_results_json, parse_results_tsv
 from remote_stub import CountingStubServer
 
@@ -655,6 +656,32 @@ class TestMineCommand:
             for name, data in zip(("results", "report"), files(out_path)):
                 digest = hashlib.sha256(data).hexdigest()
                 assert manifest["files"][name] == {"sha256": digest, "bytes": len(data)}
+
+    @pytest.mark.parametrize("command", ["mine", "count"])
+    def test_posting_out_of_order_ends_the_run_when_it_is_read(
+        self, six_index_file, terms_file, tmp_path, capsys, command
+    ):
+        """An index whose CRC32 matches loads though one posting is out of
+        order; the first count that reads it ends the run with one error line
+        and writes no file."""
+        index = load_index(six_index_file)
+        s, e = index._spans["alpha"]
+        assert e - s == 3
+        index._docs[s], index._docs[s + 1] = index._docs[s + 1], index._docs[s]
+        tampered = tmp_path / "tampered.idx"
+        save_index(index, tampered)
+        load_index(tampered)  # its tables hold
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        if command == "mine":
+            code = mine_local(tampered, terms_file, tmp_path / "r.tsv")
+        else:
+            code = main(["count", "--index", str(tampered), "alpha", "stem cell"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {tampered}: a token's document ids do not ascend; rebuild the index\n"
+        )
+        assert set(tmp_path.iterdir()) == before
 
 
 class TestMineRemote:

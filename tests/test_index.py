@@ -278,6 +278,49 @@ def test_postings_match_oracle_tokens(tmp_path_factory, docs):
     assert (directory / "forward.idx").read_bytes() == (directory / "reversed.idx").read_bytes()
 
 
+def reference_arrays(docs):
+    """``(spans, docs, offsets, positions)`` built one occurrence at a time."""
+    occurrences = {}
+    for internal, doc in enumerate(sorted(docs, key=lambda d: (d.pub_date, d.doc_id))):
+        for position, token in enumerate(tokens_of(doc.text)):
+            occurrences.setdefault(token, {}).setdefault(internal, []).append(position)
+    spans, posting_docs, offsets, positions = {}, [], [0], []
+    for token in sorted(occurrences):
+        start = len(posting_docs)
+        for internal, at in occurrences[token].items():
+            posting_docs.append(internal)
+            positions.extend(at)
+            offsets.append(len(positions))
+        spans[token] = (start, len(posting_docs))
+    return spans, posting_docs, offsets, positions
+
+
+def built_arrays(index):
+    return index._spans, list(index._docs), list(index._offsets), list(index._positions)
+
+
+@given(grouping_corpora())
+@settings(max_examples=60, deadline=None)
+def test_build_matches_a_per_occurrence_reference(docs):
+    assert built_arrays(build_index(docs)) == reference_arrays(docs)
+
+
+def test_build_keeps_positions_above_16_bits():
+    """A document of more than 65,536 tokens: each occurrence packs its doc id
+    and position into one 64-bit entry, and both halves must come back whole."""
+    rng = random.Random(7)
+    words = rng.choices(["alpha", "beta", "gamma"], k=70_000)
+    docs = [
+        Document("long", " ".join(words), date(2002, 1, 1)),
+        Document("short", "beta gamma delta", date(2001, 1, 1)),
+        Document("later", "gamma alpha", date(2003, 1, 1)),
+    ]
+    index = build_index(docs)
+    index.check()
+    assert built_arrays(index) == reference_arrays(docs)
+    assert max(index._positions) > 65_536
+
+
 # Documents that take both tokenizer paths: text with any non-ASCII character
 # goes through the regex.  "İstanbul" lengthens when lowercased, to
 # "i̇stanbul", and its combining dot is not a letter, so it splits the word.
@@ -393,7 +436,10 @@ def test_count_with_both_sequence_matches_linear_scan(seed):
 
 
 def test_concurrent_count_with_both_matches_linear_scan():
-    """Four threads alternating two key phrases and two windows on one index."""
+    """Four threads alternating two key phrases and two windows on one index.
+
+    The index is fresh, so the threads also race to check each token's
+    postings; every worker must finish, with no refusal of a sound token."""
     rng = random.Random(20190614)
     docs = random_corpus(rng, max_docs=300)
     index = build_index(docs)
@@ -419,7 +465,9 @@ def test_concurrent_count_with_both_matches_linear_scan():
             got = index.count_with_both(TokenizedPhrase(term), TokenizedPhrase(key), date_range)
             if got != expected[term, key, date_range]:
                 wrong.append((term, key, date_range, got))
+        finished.append(shift)
 
+    finished = []
     threads = [threading.Thread(target=worker, args=(shift,)) for shift in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -431,6 +479,7 @@ def test_concurrent_count_with_both_matches_linear_scan():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    assert sorted(finished) == [0, 1, 2, 3]
     assert wrong == []
 
 

@@ -35,6 +35,7 @@ from oracles import decode_postings, decoded_count
 
 
 ORDINAL = date(2001, 1, 1).toordinal()
+SECTIONS_MISMATCH = "index sections do not match the sizes the body declares$"
 
 
 def make_index(doc_ids, dates, spans, docs, offsets, positions):
@@ -314,8 +315,9 @@ class TestLoadRejections:
         path.write_bytes(header[:12] + struct.pack("<I", zlib.crc32(body)) + body)
 
     def test_valid_checksum_over_a_cut_section(self, saved):
+        """A whole file whose CRC32 matches is not cut: its sections and counts disagree."""
         self.write_body(saved, saved.read_bytes()[16:-4])
-        with pytest.raises(IndexFormatError, match="index file is truncated$"):
+        with pytest.raises(IndexFormatError, match=SECTIONS_MISMATCH):
             load_index(saved)
 
     def test_valid_checksum_over_invalid_utf8(self, saved):
@@ -342,7 +344,7 @@ class TestLoadRejections:
         body[count_at : count_at + 4] = struct.pack("<I", 2**32 - 1)
         self.write_body(saved, bytes(body))
         started = time.perf_counter()
-        with pytest.raises(IndexFormatError, match="index file is truncated$"):
+        with pytest.raises(IndexFormatError, match=SECTIONS_MISMATCH):
             load_index(saved)
         assert time.perf_counter() - started < 1
 
@@ -442,6 +444,19 @@ BROKEN_INDEXES = {
 }
 
 
+# The cases that break one token's postings, not a table: such an index loads,
+# and the first query that reads the token refuses it.
+BROKEN_POSTINGS = {
+    "doc id out of range",
+    "doc ids not ascending",
+    "doc id repeated",
+    "empty position list",
+    "positions not increasing",
+    "position repeated",
+    "positions fall inside the second of two postings",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BROKEN_INDEXES))
 def test_structurally_broken_index_is_refused(case, tmp_path):
     fields, message = BROKEN_INDEXES[case]
@@ -450,8 +465,47 @@ def test_structurally_broken_index_is_refused(case, tmp_path):
         broken.check()
     path = tmp_path / "broken.idx"
     save_index(broken, path)
-    with pytest.raises(IndexFormatError, match=message):
-        load_index(path)
+    if case in BROKEN_POSTINGS:
+        load_index(path).check_tables()
+    else:
+        with pytest.raises(IndexFormatError, match=message):
+            load_index(path)
+
+
+QUERIES_OF_X = {
+    "count x": lambda index, window: index.count_with(TokenizedPhrase(("x",)), window),
+    "count z x": lambda index, window: index.count_with(TokenizedPhrase(("z", "x")), window),
+    "pair x, z": lambda index, window: index.count_with_both(
+        TokenizedPhrase(("x",)), TokenizedPhrase(("z",)), window
+    ),
+    "pair z, x": lambda index, window: index.count_with_both(
+        TokenizedPhrase(("z",)), TokenizedPhrase(("x",)), window
+    ),
+    "pair z x, z": lambda index, window: index.count_with_both(
+        TokenizedPhrase(("z", "x")), TokenizedPhrase(("z",)), window
+    ),
+}
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES_OF_X))
+@pytest.mark.parametrize("case", sorted(BROKEN_POSTINGS))
+def test_broken_postings_are_refused_by_the_first_query_that_reads_them(case, query, tmp_path):
+    """Token x's postings are broken and a sound token z is added: a query
+    that reads x raises, as often as it is asked, and z still counts right."""
+    (doc_ids, dates, spans, docs, offsets, positions), message = BROKEN_INDEXES[case]
+    spans = {**spans, "z": (len(docs), len(docs) + 1)}
+    arrays = (dates, spans, [*docs, 0], [*offsets, len(positions) + 1], [*positions, 0])
+    path = tmp_path / "broken.idx"
+    save_index(make_index(doc_ids, *arrays), path)
+    loaded = load_index(path)
+    window = DateRange(date.fromordinal(D1), date.fromordinal(D2))
+    sound = decode_postings(dates, {"z": spans["z"]}, *arrays[2:])
+    z_count = decoded_count(sound, [("z",)], window.start, window.end)
+    assert loaded.count_with(TokenizedPhrase(("z",)), window) == z_count == 1
+    for _ in range(2):
+        with pytest.raises(IndexFormatError, match=message):
+            QUERIES_OF_X[query](loaded, window)
+    assert loaded.count_with(TokenizedPhrase(("z",)), window) == z_count
 
 
 # Shapes only a directly built index can have: a file's sections fix them.
@@ -494,12 +548,30 @@ def mutate(values, data):
     assume(values != before)
 
 
+def damaged_tokens(doc_count, spans, docs, offsets, positions) -> set[str]:
+    """The tokens whose postings break their orders, found by plain loops."""
+
+    def rises(values):
+        return all(a < b for a, b in pairwise(values))
+
+    return {
+        token
+        for token, (s, e) in spans.items()
+        if not rises(docs[s:e])
+        or any(doc >= doc_count for doc in docs[s:e])
+        or not rises(offsets[s : e + 1])
+        or not all(rises(positions[offsets[j] : offsets[j + 1]]) for j in range(s, e))
+    }
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_index_with_a_valid_checksum_loads_only_if_it_counts_right(tmp_path_factory, data):
     """An index whose arrays a faulty writer changed, saved with a valid CRC32,
-    is refused, or every count equals a scan of what its arrays say.  Document
-    ids stay as built: no count reads them."""
+    is refused when it loads if its tables are damaged.  Otherwise every query
+    that reads a damaged token's postings raises, and every other count equals
+    a scan of what the sound tokens' arrays say.  Document ids stay as built:
+    no count reads them."""
     # One draw seeds the corpus: drawing each token costs more than the rest of an example.
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="corpus seed"))
     documents = [
@@ -538,7 +610,13 @@ def test_index_with_a_valid_checksum_loads_only_if_it_counts_right(tmp_path_fact
         loaded = load_index(path)
     except IndexFormatError:
         return
-    decoded = decode_postings(*arrays)
+    damaged = damaged_tokens(len(index._doc_ids), *arrays[1:])
+    sound_spans = {token: span for token, span in spans.items() if token not in damaged}
+    decoded = decode_postings(fields["dates"], sound_spans, *arrays[2:])
+
+    def reads_damaged(phrase):  # a phrase with an absent token reads no postings
+        return set(phrase) <= spans.keys() and not damaged.isdisjoint(phrase)
+
     phrase = st.lists(st.sampled_from([*FUZZ_TOKENS, "absent"]), min_size=1, max_size=3)
     for _ in range(3):
         start, end = sorted(data.draw(st.integers(D1 - 1, D1 + 4), label="day") for _ in "se")
@@ -546,11 +624,16 @@ def test_index_with_a_valid_checksum_loads_only_if_it_counts_right(tmp_path_fact
         a, b = (tuple(data.draw(phrase, label="phrase")) for _ in "ab")
         expect = partial(decoded_count, decoded, start=window.start, end=window.end)
         assert loaded.article_count(window) == expect([])
-        assert loaded.count_with(TokenizedPhrase(b), window) == expect([b])
-        assert loaded.count_with(TokenizedPhrase(a), window) == expect([a])
-        assert loaded.count_with_both(TokenizedPhrase(a), TokenizedPhrase(b), window) == expect(
-            [a, b]
-        )
+        for phrases, count in (
+            ([b], lambda: loaded.count_with(TokenizedPhrase(b), window)),
+            ([a], lambda: loaded.count_with(TokenizedPhrase(a), window)),
+            ([a, b], lambda: loaded.count_with_both(*map(TokenizedPhrase, (a, b)), window)),
+        ):
+            if any(map(reads_damaged, phrases)):
+                with pytest.raises(IndexFormatError):
+                    count()
+            else:
+                assert count() == expect(phrases)
 
 
 def test_index_format_error_is_one_class():
