@@ -169,13 +169,9 @@ def _open_provider(args: argparse.Namespace):
     client's connections are closed on exit.  Only the remote branch
     imports the remote backend, so a local run loads no HTTP code.
     """
-    kind = args.provider
+    kind = args.provider or ("local" if args.index else "remote" if args.endpoint else None)
     if kind is None:
-        if args.index and args.endpoint:
-            raise ConfigError("both --index and --endpoint given; pick one or set --provider")
-        kind = "local" if args.index else "remote" if args.endpoint else None
-        if kind is None:
-            raise ConfigError("no count backend: give --index PATH or --endpoint URL")
+        raise ConfigError("no count backend: give --index PATH or --endpoint URL")
     if kind == "local":
         if not args.index:
             raise ConfigError("--provider local requires --index PATH")
@@ -229,8 +225,7 @@ def _open_provider(args: argparse.Namespace):
 
 def cmd_index(args: argparse.Namespace) -> int:
     name = args.name if args.name is not None else Path(args.corpus).stem
-    documents = list(read_corpus(args.corpus))
-    index = build_index(documents, corpus_name=name)
+    index = build_index(read_corpus(args.corpus), corpus_name=name)
     save_index(index, args.output)
     if index.doc_count == 0:
         print("warning: corpus is empty; wrote an empty index", file=sys.stderr)
@@ -250,27 +245,29 @@ def cmd_count(args: argparse.Namespace) -> int:
         if not normalize_tokenize(phrase):
             raise ConfigError(f"phrase {phrase!r} contains no indexable tokens")
     date_range = _date_range(args)
+    # Every count is asked for before anything is printed, so a count that
+    # fails leaves stdout empty, and a remote client is closed by then.
     with _open_provider(args) as (provider, _identity, _workers):
         article_total = provider.article_total(date_range)
-        print(f"date_range: {date_range}")
-        print(f"article_total: {article_total}")
         counts = [provider.count_with(p, date_range) for p in args.phrases]
-        for phrase, count in zip(args.phrases, counts):
-            print(f'count["{phrase}"]: {count}')
-        if len(args.phrases) == 2:
-            term, key_phrase = args.phrases
-            both = provider.count_with_both(term, key_phrase, date_range)
-            print(f"count_both: {both}")
-            table = derive_table(article_total, counts[1], counts[0], both)
-            print(
-                f"contingency: targ_kp={table.targ_kp} targ_no_kp={table.targ_no_kp}"
-                f" no_targ_kp={table.no_targ_kp} no_targ_no_kp={table.no_targ_no_kp}"
-            )
-            print(f"fisher_one_sided_p: {fisher_one_sided(table)!r}")
-            if table.term_total == 0:
-                print("co_occurrence_ratio: undefined (term matches no documents)")
-            else:
-                print(f"co_occurrence_ratio: {co_occurrence_ratio(table)!r}")
+        pair = len(args.phrases) == 2
+        both = provider.count_with_both(*args.phrases, date_range) if pair else None
+    lines = [f"date_range: {date_range}", f"article_total: {article_total}"]
+    lines += [f'count["{phrase}"]: {count}' for phrase, count in zip(args.phrases, counts)]
+    if pair:
+        table = derive_table(article_total, counts[1], counts[0], both)
+        if table.term_total == 0:
+            ratio = "undefined (term matches no documents)"
+        else:
+            ratio = repr(co_occurrence_ratio(table))
+        lines += [
+            f"count_both: {both}",
+            f"contingency: targ_kp={table.targ_kp} targ_no_kp={table.targ_no_kp}"
+            f" no_targ_kp={table.no_targ_kp} no_targ_no_kp={table.no_targ_no_kp}",
+            f"fisher_one_sided_p: {fisher_one_sided(table)!r}",
+            f"co_occurrence_ratio: {ratio}",
+        ]
+    print("\n".join(lines))
     return 0
 
 

@@ -175,11 +175,15 @@ class TestCountCommand:
         assert main(["count", "alpha"]) == 2
         assert "count backend" in capsys.readouterr().err
 
-    def test_conflicting_provider_flags_rejected(self, six_index_file):
+    def test_conflicting_provider_flags_rejected(self, six_index_file, capsys):
+        """With no --provider, --index picks the local backend, which refuses --endpoint."""
         code = main(
             ["count", "--index", str(six_index_file), "--endpoint", "http://x", "alpha"]
         )
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err == "usage error: --endpoint applies only to the remote backend\n"
 
     def test_bad_date_is_usage_error(self, six_index_file):
         assert main(["count", "--index", str(six_index_file), "--to", "2004-1-1", "a"]) == 2
@@ -677,8 +681,10 @@ class TestMineCommand:
             code = mine_local(tampered, terms_file, tmp_path / "r.tsv")
         else:
             code = main(["count", "--index", str(tampered), "alpha", "stem cell"])
+        captured = capsys.readouterr()
         assert code == 1
-        assert capsys.readouterr().err == (
+        assert captured.out == ""
+        assert captured.err == (
             f"error: {tampered}: a token's document ids do not ascend; rebuild the index\n"
         )
         assert set(tmp_path.iterdir()) == before
@@ -886,6 +892,29 @@ class TestMineRemote:
         [excluded] = report["excluded"]
         assert (excluded["term"], excluded["reason"]) == ("beta", "inconsistent-counts")
         assert report["failed"] == []
+
+
+@pytest.mark.parametrize(
+    "pair_answer, named",
+    [("many", "has non-integer value 'many'"), (21, "both_count 21 exceeds term_total 20")],
+)
+def test_count_that_fails_remotely_prints_only_its_error(
+    tmp_path, monkeypatch, capsys, pair_answer, named
+):
+    """The total and both single counts succeed, and the pair's answer is
+    unusable or above the term's own count: one error line, no partial answer."""
+    monkeypatch.chdir(tmp_path)
+    pair = '"alpha" AND "stem cell" AND (FIRST_PDATE:[1900-01-01 TO 2004-12-31])'
+    with CountingStubServer({**TestMineRemote.RESPONSES, pair: pair_answer}) as server:
+        args = ["count", "--endpoint", server.url, "--cache", "c.jsonl", "--to", "2004-12-31"]
+        code = main([*args, "alpha", "stem cell"])
+        assert server.request_count == 4
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert named in line
 
 
 def test_cached_count_answers_only_for_its_endpoint(tmp_path, monkeypatch, capsys):
