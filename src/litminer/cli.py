@@ -7,7 +7,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import NoReturn
@@ -262,8 +262,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             ratio = repr(co_occurrence_ratio(table))
         lines += [
             f"count_both: {both}",
-            f"contingency: targ_kp={table.targ_kp} targ_no_kp={table.targ_no_kp}"
-            f" no_targ_kp={table.no_targ_kp} no_targ_no_kp={table.no_targ_no_kp}",
+            "contingency: " + " ".join(f"{cell}={n}" for cell, n in asdict(table).items()),
             f"fisher_one_sided_p: {fisher_one_sided(table)!r}",
             f"co_occurrence_ratio: {ratio}",
         ]
@@ -343,13 +342,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
     if run.diagnostic:
         print(f"note: {run.diagnostic}", file=sys.stderr)
-    tallies = run.tallies
     print(f"article_total: {run.article_total}")
     print(f"kp_count: {run.kp_count}")
-    print(
-        f"significant: {tallies['significant']}  excluded: {tallies['excluded']}"
-        f"  failed: {tallies['failed']}  duplicates: {tallies['duplicates']}"
-    )
+    print("  ".join(f"{name}: {n}" for name, n in run.tallies.items()))
     print(f"results: {out_path}")
     print(f"report: {report_path}")
     print(f"manifest: {manifest_path}")

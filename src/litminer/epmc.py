@@ -19,7 +19,7 @@ import logging
 import os
 import random
 import reprlib
-import select
+import selectors
 import ssl
 import threading
 import time
@@ -236,8 +236,11 @@ class HttpSession:
             idle = self._idle.get(key)
             entry = idle.pop() if idle else None
         conn, prefix, headers = entry or self._open(parts, timeout)
-        if entry and conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
-            conn.close()  # readable while idle: the server closed it; reconnect
+        if entry and conn.sock is not None:
+            with selectors.DefaultSelector() as probe:  # select.select stops at fd 1023
+                probe.register(conn.sock, selectors.EVENT_READ)
+                if probe.select(0):
+                    conn.close()  # readable while idle: the server closed it; reconnect
         target = prefix + (parts.path or "/") + (f"?{query}" if query else "")
         try:
             conn.request("GET", target, headers=headers)

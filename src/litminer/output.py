@@ -5,9 +5,9 @@ the structured results and the CLI's manifest carry.
 
 Both result formats are deterministic byte-for-byte for identical inputs,
 and both render floats with repr (shortest round-trip form), so reading a
-written file back gives the exact TermResult values.  The human-facing
-``ratio`` TSV column is fixed to three decimals; ``ratio_full`` carries the
-full-precision value.
+written file back gives the exact TermResult values.  A TSV row is the
+structured record of the same rank, with ``ratio`` fixed to three decimals
+and ``ratio_full`` carrying the full-precision value.
 """
 
 from __future__ import annotations
@@ -58,28 +58,6 @@ def check_tsv_field(text: str) -> None:
         raise ValueError(f"{text!r} contains a tab or line break, which a TSV field cannot hold")
 
 
-def render_results_tsv(results: Sequence[TermResult]) -> str:
-    lines = ["\t".join(TSV_COLUMNS)]
-    for rank, r in enumerate(results, start=1):
-        check_tsv_field(r.term)
-        lines.append(
-            "\t".join(
-                (
-                    str(rank),
-                    r.term,
-                    str(r.both_count),
-                    str(r.term_count),
-                    str(r.kp_count),
-                    str(r.article_total),
-                    display_ratio(r),
-                    repr(r.ratio),
-                    repr(r.p_value),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _result_record(rank: int, r: TermResult) -> dict[str, Any]:
     return {
         "rank": rank,
@@ -92,6 +70,15 @@ def _result_record(rank: int, r: TermResult) -> dict[str, Any]:
         "p_value": r.p_value,
         "significant": r.significant,
     }
+
+
+def render_results_tsv(results: Sequence[TermResult]) -> str:
+    lines = ["\t".join(TSV_COLUMNS)]
+    for rank, r in enumerate(results, start=1):
+        check_tsv_field(r.term)
+        record = _result_record(rank, r) | {"ratio": display_ratio(r), "ratio_full": r.ratio}
+        lines.append("\t".join(str(record[column]) for column in TSV_COLUMNS))
+    return "\n".join(lines) + "\n"
 
 
 def run_parameters(run: MiningRun) -> dict[str, Any]:

@@ -369,7 +369,14 @@ class TestMineCommand:
         results = parse_results_tsv(out_path.read_text(encoding="utf-8"))
         assert [r.term for r in results] == ["alpha"]
         assert results[0].both_count == 3
-        assert "significant: 1" in stdout
+        assert stdout.splitlines() == [
+            "article_total: 6",
+            "kp_count: 3",
+            "significant: 1  excluded: 1  failed: 0  duplicates: 0",
+            f"results: {out_path}",
+            f"report: {out_path}.report.json",
+            f"manifest: {out_path}.manifest.json",
+        ]
 
         report = json.loads(
             (tmp_path / "results.tsv.report.json").read_text(encoding="utf-8")

@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import http.client
 import json
+import os
 import socket
 import ssl
 import threading
@@ -28,6 +29,7 @@ from litminer.epmc import (
     DEFAULT_ENDPOINT,
     CountCache,
     HttpResponse,
+    HttpSession,
     RateLimiter,
     format_date_clause,
 )
@@ -739,6 +741,30 @@ class TestHttpSession:
                     assert client.fetch_count(self.query("b")) == 4
             assert caplog.text == ""
             assert server.connection_count == 2
+
+    def test_connection_above_descriptor_1024_is_reused(self, offline):
+        # select() refuses a descriptor at or above 1024; the check that an
+        # idle connection is still open must not.
+        resource = pytest.importorskip("resource")
+        soft, _hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if soft != resource.RLIM_INFINITY and soft < 1100:
+            pytest.skip(f"open-file limit {soft} is below 1100")
+        devnull = os.open(os.devnull, os.O_RDONLY)
+        duplicates = [devnull]
+        try:
+            # Descriptors are allocated lowest first, so the next is above 1024.
+            while duplicates[-1] < 1024:
+                duplicates.append(os.dup(devnull))
+            with CountingStubServer(default_count=9) as server:
+                with closing(HttpSession()) as session:
+                    for text in ("a", "b"):
+                        response = session.get(server.url, params={"query": text})
+                        assert response.json()["hitCount"] == 9
+                assert server.request_count == 2
+                assert server.connection_count == 1
+        finally:
+            for fd in duplicates:
+                os.close(fd)
 
     def test_redirect_is_not_followed(self, offline):
         with CountingStubServer() as server:

@@ -149,6 +149,39 @@ class TestJson:
             parse_results_json(text)
 
 
+class TestFormatsAgree:
+    def test_each_tsv_row_is_the_structured_record_of_its_rank(self, full_range):
+        counts = {"alpha": (30, 12), "beta": (200, 17), "delta": (80, 3), "kappa": (7, 2)}
+        provider = StubCountProvider(10000, "stem cell", 40, {**counts, "omega": (9, 9)})
+        config = MinerConfig(
+            key_phrase="stem cell",
+            target_terms=(*counts, "omega"),
+            date_range=full_range,
+            p_threshold=0.05,
+        )
+        run = run_mining(provider, config)
+        header, *rows = render_results_tsv(run.significant).splitlines()
+        records = json.loads(render_results_json(run))["results"]
+        assert header == HEADER
+        assert len(rows) == len(records) == len(run.significant) == 5
+        assert len({r["ratio"] for r in records}) == len({r["p_value"] for r in records}) == 5
+        # 3/80 = 0.0375 shows as 0.038, so one row's two ratio columns differ.
+        assert "0.038\t0.0375\t" in "\n".join(rows)
+        for row, record, result in zip(rows, records, run.significant):
+            assert dict(zip(TSV_COLUMNS, row.split("\t"))) == {
+                "rank": str(record["rank"]),
+                "term": record["term"],
+                "term_plus_kp_count": str(record["term_plus_kp_count"]),
+                "term_count": str(record["term_count"]),
+                "kp_count": str(record["kp_count"]),
+                "article_total": str(record["article_total"]),
+                "ratio": display_ratio(result),
+                "ratio_full": repr(record["ratio"]),
+                "p_value": repr(record["p_value"]),
+            }
+            assert result.ratio == record["ratio"]
+
+
 class TestReport:
     def test_report_accounts_for_everything(self, small_run):
         doc = json.loads(render_report(small_run))
