@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import partial
 from itertools import accumulate, chain, compress, count, islice, pairwise, repeat
-from operator import and_, countOf, getitem, itemgetter, lshift, lt, ne, sub
+from operator import and_, countOf, getitem, lshift, lt, ne, sub
 from typing import Collection, Iterable, Sequence
 
 from . import ConfigError, LitminerError
@@ -63,11 +63,11 @@ class PostingsIndex:
     """Token -> postings over a fixed document set, held in flat arrays.
 
     Internal doc ids number the documents in ``(date, doc_id)`` order, so
-    the documents of a date window are the id range ``[lo, hi)``.  Token
-    ``t``'s postings are ``docs[s:e]`` for ``(s, e) = spans[t]``, doc ids
-    ascending; posting ``j``'s positions are
-    ``positions[offsets[j]:offsets[j + 1]]``, strictly increasing.  Tokens
-    are in ascending order and their postings follow each other.
+    the documents of a date window are the id range ``[lo, hi)``.  Tokens
+    ascend, ``tokens[k]`` has ``counts[k]`` postings, and each token's follow
+    the previous token's: token ``t``'s are ``docs[s:e]`` for ``(s, e) =
+    _spans[t]``, doc ids ascending; posting ``j``'s positions are
+    ``positions[offsets[j]:offsets[j + 1]]``, strictly increasing.
 
     Loading checks only the tables (:meth:`check_tables`).  A token's postings
     are checked before their first read (:meth:`_checked_spans`), and a damaged
@@ -92,7 +92,8 @@ class PostingsIndex:
         self,
         doc_ids: list[str],
         dates: array,
-        spans: dict[str, tuple[int, int]],
+        tokens: list[str],
+        counts: array,
         docs: array,
         offsets: array,
         positions: array,
@@ -101,7 +102,9 @@ class PostingsIndex:
     ):
         self._doc_ids = doc_ids
         self._dates = dates
-        self._spans = spans
+        self._tokens = tokens
+        self._counts = counts
+        self._spans = dict(zip(tokens, pairwise(accumulate(counts, initial=0))))
         self._docs = docs
         self._offsets = offsets
         self._positions = positions
@@ -118,7 +121,7 @@ class PostingsIndex:
 
     @property
     def token_count(self) -> int:
-        return len(self._spans)
+        return len(self._tokens)
 
     def date_span(self) -> tuple[date, date] | None:
         if not self._dates:
@@ -270,7 +273,7 @@ class PostingsIndex:
         """Raise :class:`IndexFormatError` unless the checks that cost O(documents +
         tokens) pass.  Each pass over an array runs in C (``map``/``islice``), not bytecode."""
         doc_ids, dates = self._doc_ids, self._dates
-        docs, offsets, positions = self._docs, self._offsets, self._positions
+        docs, offsets, positions, counts = self._docs, self._offsets, self._positions, self._counts
         doc_count = len(doc_ids)
         if len(dates) != doc_count or len(offsets) != len(docs) + 1:
             raise IndexFormatError("index arrays have mismatched lengths")
@@ -282,14 +285,8 @@ class PostingsIndex:
             raise IndexFormatError("document date out of range")
         if not _ascending(list(self._spans)):
             raise IndexFormatError("tokens are not in ascending order")
-        # Each token's postings start where the previous token's end.
-        spans = self._spans.values()
-        bounds = [0, *map(itemgetter(1), spans)]
-        if (
-            list(map(itemgetter(0), spans)) != bounds[:-1]
-            or bounds[-1] != len(docs)
-            or not _ascending(bounds)
-        ):
+        # A token listed twice has one span for two counts.
+        if len(counts) != len(self._spans) or not all(counts) or sum(counts) != len(docs):
             raise IndexFormatError("token posting counts do not add up")
         if offsets[0] != 0 or offsets[-1] != len(positions):
             raise IndexFormatError("position offsets do not cover the positions")
@@ -374,15 +371,15 @@ def build_index(
     del occurrence_docs
     offsets = array(U32, compress(range(len(positions)), begins))
     offsets.append(len(positions))
-    counts = map(begins.count, repeat(1), runs, runs[1:])  # the postings in each run
-    spans = dict(zip(tokens, pairwise(accumulate(counts, initial=0))))
+    counts = array(U32, map(begins.count, repeat(1), runs, runs[1:]))  # postings per run
 
     if built_at is None:
         built_at = datetime.now(timezone.utc)
     return PostingsIndex(
         [d.doc_id for d in docs],
         array(U32, [d.pub_date.toordinal() for d in docs]),
-        spans,
+        tokens,
+        counts,
         postings,
         offsets,
         positions,

@@ -51,7 +51,7 @@ import sys
 import zlib
 from array import array
 from datetime import date, datetime, timezone
-from itertools import accumulate, islice
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -185,8 +185,8 @@ def _write_index(fh: io.BufferedWriter, index: PostingsIndex) -> None:
         *_string_table([index.corpus_name]),
         _little_endian(index._dates),
         *_string_table(index._doc_ids),
-        *_string_table(index._spans),
-        _little_endian(array(U32, [e - s for s, e in index._spans.values()])),
+        *_string_table(index._tokens),
+        _little_endian(index._counts),
         _little_endian(index._docs),
         _little_endian(index._offsets),
         _little_endian(index._positions),
@@ -307,7 +307,7 @@ def _parse_body(cursor: _Cursor) -> PostingsIndex:
     doc_count, token_count, posting_count, position_count, built_ts = struct.unpack(
         "<IIIIQ", cursor.take(24)
     )
-    (corpus_name,) = cursor.strings(1)
+    (name,) = cursor.strings(1)
     dates = cursor.u32s(doc_count)
     doc_ids = cursor.strings(doc_count)
     tokens = cursor.strings(token_count)
@@ -321,6 +321,4 @@ def _parse_body(cursor: _Cursor) -> PostingsIndex:
         built_at = datetime.fromtimestamp(built_ts, tz=timezone.utc)
     except (OverflowError, OSError, ValueError):
         raise IndexFormatError("build time out of range") from None
-    starts = list(accumulate(counts, initial=0))
-    spans = dict(zip(tokens, zip(starts, islice(starts, 1, None))))
-    return PostingsIndex(doc_ids, dates, spans, docs, offsets, positions, corpus_name, built_at)
+    return PostingsIndex(doc_ids, dates, tokens, counts, docs, offsets, positions, name, built_at)

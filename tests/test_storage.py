@@ -38,12 +38,13 @@ ORDINAL = date(2001, 1, 1).toordinal()
 SECTIONS_MISMATCH = "index sections do not match the sizes the body declares$"
 
 
-def make_index(doc_ids, dates, spans, docs, offsets, positions):
+def make_index(doc_ids, dates, tokens, counts, docs, offsets, positions):
     """A PostingsIndex from plain lists, with no check of its invariants."""
     return PostingsIndex(
         doc_ids,
         array(U32, dates),
-        spans,
+        tokens,
+        array(U32, counts),
         array(U32, docs),
         array(U32, offsets),
         array(U32, positions),
@@ -202,7 +203,7 @@ class TestRoundTrip:
         save_index(six_index, path)
         # A lone surrogate cannot be encoded as UTF-8, so the write fails
         # after the temp file has been created.
-        broken = make_index(["\ud800"], [ORDINAL], {}, [], [0], [])
+        broken = make_index(["\ud800"], [ORDINAL], [], [], [], [0], [])
         with pytest.raises(UnicodeEncodeError):
             save_index(broken, path)
         assert [p.name for p in tmp_path.iterdir()] == ["six.idx"]
@@ -402,45 +403,42 @@ def test_damaged_file_never_loads(six_bytes, tmp_path_factory, data):
 D1, D2 = ORDINAL, ORDINAL + 1
 BROKEN_INDEXES = {
     "documents not in date order": (
-        (["a", "b"], [D2, D1], {"x": (0, 1)}, [0], [0, 1], [0]), "date, id"
+        (["a", "b"], [D2, D1], ["x"], [1], [0], [0, 1], [0]), "date, id"
     ),
     "ids not ascending within a date": (
-        (["b", "a"], [D1, D1], {"x": (0, 1)}, [0], [0, 1], [0]), "date, id"
+        (["b", "a"], [D1, D1], ["x"], [1], [0], [0, 1], [0]), "date, id"
     ),
-    "duplicate id": ((["a", "a"], [D1, D2], {"x": (0, 1)}, [0], [0, 1], [0]), "duplicate"),
+    "duplicate id": ((["a", "a"], [D1, D2], ["x"], [1], [0], [0, 1], [0]), "duplicate"),
     "tokens not ascending": (
-        (["a"], [D1], {"y": (0, 1), "x": (1, 2)}, [0, 0], [0, 1, 2], [0, 1]), "tokens"
+        (["a"], [D1], ["y", "x"], [1, 1], [0, 0], [0, 1, 2], [0, 1]), "tokens"
+    ),
+    "token listed twice": (
+        (["a"], [D1], ["x", "x"], [1, 1], [0, 0], [0, 1, 2], [0, 1]), "posting counts"
     ),
     "empty posting list": (
-        (["a"], [D1], {"x": (0, 0), "y": (0, 1)}, [0], [0, 1], [0]), "posting counts"
+        (["a"], [D1], ["x", "y"], [0, 1], [0], [0, 1], [0]), "posting counts"
     ),
-    "postings not covered by tokens": ((["a"], [D1], {}, [0], [0, 1], [0]), "posting counts"),
+    "postings not covered by tokens": ((["a"], [D1], [], [], [0], [0, 1], [0]), "posting counts"),
     "doc id out of range": (
-        (["a", "b"], [D1, D2], {"x": (0, 2)}, [0, 2], [0, 1, 2], [0, 0]), "unknown document"
+        (["a", "b"], [D1, D2], ["x"], [2], [0, 2], [0, 1, 2], [0, 0]), "unknown document"
     ),
     "doc ids not ascending": (
-        (["a", "b"], [D1, D2], {"x": (0, 2)}, [1, 0], [0, 1, 2], [0, 0]), "do not ascend"
+        (["a", "b"], [D1, D2], ["x"], [2], [1, 0], [0, 1, 2], [0, 0]), "do not ascend"
     ),
     "doc id repeated": (
-        (["a", "b"], [D1, D2], {"x": (0, 2)}, [1, 1], [0, 1, 2], [0, 0]), "do not ascend"
+        (["a", "b"], [D1, D2], ["x"], [2], [1, 1], [0, 1, 2], [0, 0]), "do not ascend"
     ),
-    "offsets do not start at zero": (
-        (["a"], [D1], {"x": (0, 1)}, [0], [1, 2], [0, 1]), "offsets"
-    ),
-    "offsets do not reach the end": (
-        (["a"], [D1], {"x": (0, 1)}, [0], [0, 1], [0, 1]), "offsets"
-    ),
+    "offsets do not start at zero": ((["a"], [D1], ["x"], [1], [0], [1, 2], [0, 1]), "offsets"),
+    "offsets do not reach the end": ((["a"], [D1], ["x"], [1], [0], [0, 1], [0, 1]), "offsets"),
     "empty position list": (
-        (["a", "b"], [D1, D2], {"x": (0, 2)}, [0, 1], [0, 0, 1], [4]), "offsets do not ascend"
+        (["a", "b"], [D1, D2], ["x"], [2], [0, 1], [0, 0, 1], [4]), "offsets do not ascend"
     ),
-    "positions not increasing": (
-        (["a"], [D1], {"x": (0, 1)}, [0], [0, 2], [3, 1]), "positions"
-    ),
-    "position repeated": ((["a"], [D1], {"x": (0, 1)}, [0], [0, 2], [3, 3]), "positions"),
+    "positions not increasing": ((["a"], [D1], ["x"], [1], [0], [0, 2], [3, 1]), "positions"),
+    "position repeated": ((["a"], [D1], ["x"], [1], [0], [0, 2], [3, 3]), "positions"),
     "positions fall inside the second of two postings": (
-        (["a", "b"], [D1, D2], {"x": (0, 2)}, [0, 1], [0, 1, 3], [5, 4, 2]), "positions"
+        (["a", "b"], [D1, D2], ["x"], [2], [0, 1], [0, 1, 3], [5, 4, 2]), "positions"
     ),
-    "date ordinal zero": ((["a"], [0], {"x": (0, 1)}, [0], [0, 1], [0]), "date out of range"),
+    "date ordinal zero": ((["a"], [0], ["x"], [1], [0], [0, 1], [0]), "date out of range"),
 }
 
 
@@ -492,14 +490,13 @@ QUERIES_OF_X = {
 def test_broken_postings_are_refused_by_the_first_query_that_reads_them(case, query, tmp_path):
     """Token x's postings are broken and a sound token z is added: a query
     that reads x raises, as often as it is asked, and z still counts right."""
-    (doc_ids, dates, spans, docs, offsets, positions), message = BROKEN_INDEXES[case]
-    spans = {**spans, "z": (len(docs), len(docs) + 1)}
-    arrays = (dates, spans, [*docs, 0], [*offsets, len(positions) + 1], [*positions, 0])
+    (doc_ids, dates, tokens, counts, docs, offsets, positions), message = BROKEN_INDEXES[case]
+    arrays = ([*docs, 0], [*offsets, len(positions) + 1], [*positions, 0])
     path = tmp_path / "broken.idx"
-    save_index(make_index(doc_ids, *arrays), path)
+    save_index(make_index(doc_ids, dates, [*tokens, "z"], [*counts, 1], *arrays), path)
     loaded = load_index(path)
     window = DateRange(date.fromordinal(D1), date.fromordinal(D2))
-    sound = decode_postings(dates, {"z": spans["z"]}, *arrays[2:])
+    sound = decode_postings(dates, {"z": (len(docs), len(docs) + 1)}, *arrays)
     z_count = decoded_count(sound, [("z",)], window.start, window.end)
     assert loaded.count_with(TokenizedPhrase(("z",)), window) == z_count == 1
     for _ in range(2):
@@ -510,14 +507,10 @@ def test_broken_postings_are_refused_by_the_first_query_that_reads_them(case, qu
 
 # Shapes only a directly built index can have: a file's sections fix them.
 MISSHAPEN_INDEXES = {
-    "fewer dates than ids": ((["a", "b"], [D1], {"x": (0, 1)}, [0], [0, 1], [0]), "lengths"),
-    "offsets without the final entry": ((["a"], [D1], {"x": (0, 1)}, [0], [0], [0]), "lengths"),
-    "overlapping spans": (
-        (["a"], [D1], {"x": (0, 1), "y": (0, 1)}, [0], [0, 1], [0]), "posting counts"
-    ),
-    "a gap between spans": (
-        (["a"], [D1], {"x": (0, 1), "y": (2, 3)}, [0, 0, 0], [0, 1, 2, 3], [0, 1, 2]),
-        "posting counts",
+    "fewer dates than ids": ((["a", "b"], [D1], ["x"], [1], [0], [0, 1], [0]), "lengths"),
+    "offsets without the final entry": ((["a"], [D1], ["x"], [1], [0], [0], [0]), "lengths"),
+    "more counts than tokens": (
+        (["a"], [D1], ["x"], [1, 1], [0, 0], [0, 1, 2], [0, 1]), "posting counts"
     ),
 }
 
@@ -583,17 +576,17 @@ def test_index_with_a_valid_checksum_loads_only_if_it_counts_right(tmp_path_fact
         for i in range(rng.randint(2, 4))
     ]
     index = build_index(documents)
-    tokens = list(index._spans)
+    tokens = list(index._tokens)
     fields = {
         "dates": list(index._dates),
-        "counts": [e - s for s, e in index._spans.values()],
+        "counts": list(index._counts),
         "docs": list(index._docs),
         "offsets": list(index._offsets),
         "positions": list(index._positions),
     }
-    name = data.draw(st.sampled_from([*fields, "span bound"]), label="field")
+    name = data.draw(st.sampled_from([*fields, "posting move"]), label="field")
     counts = fields["counts"]
-    if name == "span bound":  # one token gains a posting that the next one loses
+    if name == "posting move":  # one token gains a posting that the next one loses
         assume(len(counts) > 1)
         k = data.draw(st.integers(0, len(counts) - 2), label="token")
         step = data.draw(st.sampled_from([1, -1]), label="step")
@@ -601,18 +594,18 @@ def test_index_with_a_valid_checksum_loads_only_if_it_counts_right(tmp_path_fact
     else:
         assume(fields[name])
         mutate(fields[name], data)
-    starts = list(accumulate(counts, initial=0))
-    spans = dict(zip(tokens, pairwise(starts)))
-    arrays = (fields["dates"], spans, fields["docs"], fields["offsets"], fields["positions"])
+    arrays = (fields["docs"], fields["offsets"], fields["positions"])
     path = tmp_path_factory.getbasetemp() / "mutated.idx"
-    save_index(make_index(list(index._doc_ids), *arrays), path)
+    save_index(make_index(list(index._doc_ids), fields["dates"], tokens, counts, *arrays), path)
     try:
         loaded = load_index(path)
     except IndexFormatError:
         return
-    damaged = damaged_tokens(len(index._doc_ids), *arrays[1:])
+    # The scan oracle reads each token's postings where the counts put them.
+    spans = dict(zip(tokens, pairwise(accumulate(counts, initial=0))))
+    damaged = damaged_tokens(len(index._doc_ids), spans, *arrays)
     sound_spans = {token: span for token, span in spans.items() if token not in damaged}
-    decoded = decode_postings(fields["dates"], sound_spans, *arrays[2:])
+    decoded = decode_postings(fields["dates"], sound_spans, *arrays)
 
     def reads_damaged(phrase):  # a phrase with an absent token reads no postings
         return set(phrase) <= spans.keys() and not damaged.isdisjoint(phrase)
@@ -644,7 +637,7 @@ def test_index_format_error_is_one_class():
 def test_values_may_fall_between_groups(tmp_path):
     """Doc ids restart at each token and positions at each posting."""
     index = make_index(
-        ["a", "b"], [D1, D2], {"x": (0, 2), "y": (2, 3)}, [0, 1, 0], [0, 2, 3, 4], [3, 7, 1, 2]
+        ["a", "b"], [D1, D2], ["x", "y"], [2, 1], [0, 1, 0], [0, 2, 3, 4], [3, 7, 1, 2]
     )
     index.check()
     path = tmp_path / "ok.idx"
