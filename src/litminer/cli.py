@@ -5,12 +5,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 from . import ConfigError, LitminerError, __version__
 from .index import DateRange, IndexFormatError, build_index
@@ -223,7 +224,23 @@ def _open_provider(args: argparse.Namespace):
         client.close()
 
 
+def _same_file(a: str | Path, b: str | Path) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _refuse_overwrite(outputs: Iterable[str | Path], inputs: dict[str, str | None]) -> None:
+    """Refuse, before any work, an output that would replace an input the command line names."""
+    for output in outputs:
+        for flag, given in inputs.items():
+            if given and _same_file(output, given):
+                raise ConfigError(f"output {output} would replace {flag} {given}")
+
+
 def cmd_index(args: argparse.Namespace) -> int:
+    _refuse_overwrite([args.output], {"--corpus": args.corpus})
     name = args.name if args.name is not None else Path(args.corpus).stem
     index = build_index(read_corpus(args.corpus), corpus_name=name)
     save_index(index, args.output)
@@ -293,6 +310,16 @@ def _read_terms(path: str) -> list[str]:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    out_path = Path(args.output)
+    report_path = out_path.with_name(out_path.name + ".report.json")
+    manifest_path = out_path.with_name(out_path.name + ".manifest.json")
+    inputs = {
+        "--index": args.index,
+        "--terms": args.terms,
+        "--client-config": args.client_config,
+        "--cache": args.cache,
+    }
+    _refuse_overwrite((out_path, report_path, manifest_path), inputs)
     config = MinerConfig(
         key_phrase=args.key_phrase,
         date_range=_date_range(args),
@@ -305,9 +332,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
         run = run_mining(provider, config, parallelism=parallelism)
         finished_at = datetime.now(timezone.utc)
 
-    out_path = Path(args.output)
-    report_path = out_path.with_name(out_path.name + ".report.json")
-    manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     if args.format == "tsv":
         results = render_results_tsv(run.significant)
     else:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol, Sequence, runtime_checkable
@@ -254,7 +253,9 @@ def run_mining(
         def score(term: str) -> TermResult | ExcludedTerm | FailedTerm:
             return _score_term(provider, config, article_total, kp_count, term)
 
-        if parallelism > 1:
+        if parallelism > 1:  # only a remote run has more than one worker
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
                 outcomes = list(pool.map(score, unique_terms))
         else:

@@ -936,6 +936,86 @@ def test_cached_count_answers_only_for_its_endpoint(tmp_path, monkeypatch, capsy
             assert server.request_count == 2  # the article total and the phrase
 
 
+def files_in(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def assert_refused_before_any_work(code, capsys, directory, before):
+    """Exit 2 with one usage error line, and every file as it was: no output, no ``.tmp``."""
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("usage error: output ")
+    assert files_in(directory) == before
+
+
+@pytest.mark.parametrize("spelling", ["same path", "relative path", "symlink", "hard link"])
+def test_index_output_that_is_the_corpus_is_refused(
+    six_corpus_file, tmp_path, monkeypatch, capsys, spelling
+):
+    monkeypatch.chdir(tmp_path)
+    output = tmp_path / "out.idx"
+    if spelling == "same path":
+        output = six_corpus_file
+    elif spelling == "relative path":
+        output = Path(".") / six_corpus_file.name
+    elif spelling == "symlink":
+        output.symlink_to(six_corpus_file)
+    else:
+        os.link(six_corpus_file, output)
+    before = files_in(tmp_path)
+    code = main(["index", "--corpus", str(six_corpus_file), "--output", str(output)])
+    assert_refused_before_any_work(code, capsys, tmp_path, before)
+
+
+MINE_OUTPUTS = {"results": "", "report": ".report.json", "manifest": ".manifest.json"}
+
+
+@pytest.mark.parametrize("output", sorted(MINE_OUTPUTS))
+@pytest.mark.parametrize("flag", ["--index", "--terms", "--client-config", "--cache"])
+def test_mine_output_that_would_replace_an_input_is_refused(
+    six_corpus_file, tmp_path, monkeypatch, capsys, flag, output
+):
+    """The input that ``flag`` names is the results file or one written beside it.
+    A local run gets --index and --terms, a remote run the rest."""
+    monkeypatch.chdir(tmp_path)
+    inputs = {
+        "--index": "six.idx",
+        "--terms": "terms.txt",
+        "--client-config": "client.json",
+        "--cache": "counts.jsonl",
+        flag: f"r.tsv{MINE_OUTPUTS[output]}",
+    }
+    assert main(["index", "--corpus", str(six_corpus_file), "--output", inputs["--index"]]) == 0
+    Path(inputs["--terms"]).write_text("alpha\nbeta\n", encoding="utf-8")
+    Path(inputs["--client-config"]).write_text('{"requests_per_second": 10000}', encoding="utf-8")
+    Path(inputs["--cache"]).write_bytes(b"")
+    before = files_in(tmp_path)
+    capsys.readouterr()
+    with CountingStubServer(responses=TestMineRemote.RESPONSES) as server:
+        if flag in ("--index", "--terms"):
+            backend = ["--index", inputs["--index"]]
+        else:
+            backend = ["--endpoint", server.url, "--client-config", inputs["--client-config"]]
+            backend += ["--cache", inputs["--cache"]]
+        args = ["--key-phrase", "stem cell", "--terms", inputs["--terms"], "--to", "2004-12-31"]
+        code = main(["mine", *backend, *args, "--output", "r.tsv"])
+        assert server.request_count == 0
+    assert_refused_before_any_work(code, capsys, tmp_path, before)
+
+
+def test_mine_output_over_a_cache_not_yet_written_is_refused(tmp_path, monkeypatch, capsys):
+    """A cache the run would create is named by its path: it is refused as an output too."""
+    monkeypatch.chdir(tmp_path)
+    Path("terms.txt").write_text("alpha\n", encoding="utf-8")
+    with CountingStubServer(responses=TestMineRemote.RESPONSES) as server:
+        args = ["--endpoint", server.url, "--cache", "./counts.jsonl", "--terms", "terms.txt"]
+        code = main(["mine", *args, "--key-phrase", "stem cell", "--output", "counts.jsonl"])
+        assert server.request_count == 0
+    assert_refused_before_any_work(code, capsys, tmp_path, {"terms.txt": b"alpha\n"})
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "litminer" in capsys.readouterr().out

@@ -69,11 +69,19 @@ def test_quick_start_runs_without_requests(tmp_path):
     """The runtime needs no third-party package, and a local run no HTTP module.
 
     The quick start runs with `requests`, `http.client`, `ssl`,
-    `urllib.request` and litminer's own remote backend blocked.
+    `urllib.request`, litminer's own remote backend and the thread pool
+    (`concurrent.futures`, which only a run with several workers uses) blocked.
     """
     script, expected = quick_start()
     # A None entry in sys.modules makes importing that module raise ImportError.
-    blocked = ["requests", "http.client", "ssl", "urllib.request", "litminer.epmc"]
+    blocked = [
+        "requests",
+        "http.client",
+        "ssl",
+        "urllib.request",
+        "litminer.epmc",
+        "concurrent.futures",
+    ]
     program = (
         f"import sys; sys.modules.update(dict.fromkeys({blocked}));"
         " import litminer, litminer.cli; litminer.cli.run()"
